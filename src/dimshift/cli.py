@@ -2,7 +2,8 @@
 
 Subcommands: demo, verify-sign, verify-lemmas, sign-table, dump.
 Every verifying subcommand exits 0 exactly when its aggregate verdict
-is a pass, and failures print their first witness entry.
+is a pass and 1 when it fails, printing the first failing trial; a
+flag value the configuration rejects prints one line and exits 2.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .harness import (
     run_step_sign_suite,
 )
 from .complexes import apply_F_complex
+from .modules import TruncatedAlgebra
 from .resolutions import ResolutionRegistry
 from .serialize import (
     complex_to_json,
@@ -138,12 +140,11 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_verify_sign(args) -> int:
-    report = run_sign_suite(_config_from_args(args))
-    return _emit_report(report, args)
+    return _emit_report(run_sign_suite(args.config), args)
 
 
 def _cmd_verify_lemmas(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = args.config
     registry = ResolutionRegistry()
     connecting = run_connecting_suite(cfg, registry)
     steps = run_step_sign_suite(cfg, registry)
@@ -168,7 +169,7 @@ def _cmd_sign_table(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = args.config
     rng = random.Random(cfg.seed)
     registry = ResolutionRegistry()
     M = gen_random_module(cfg, rng)
@@ -197,6 +198,14 @@ def _cmd_dump(args) -> int:
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        if args.command == "demo":
+            TruncatedAlgebra(args.m)
+        elif args.command != "sign-table":
+            args.config = _config_from_args(args)
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     handlers = {
         "demo": _cmd_demo,
         "verify-sign": _cmd_verify_sign,

@@ -22,6 +22,7 @@ from .linalg import (
     NoSolution,
     Rat,
     RationalMatrix,
+    Sentinel,
     Subspace,
     induced_map,
     kernel_basis,
@@ -35,6 +36,8 @@ from .modules import (
     ModuleMap,
     apply_F_map,
     apply_F_object,
+    extend_over,
+    is_injective,
 )
 
 
@@ -42,30 +45,13 @@ class ChaseFailure(Exception):
     """A diagram chase hit an unsolvable lift or pullback."""
 
 
-class NotHomotopicType:
-    """Sentinel: no chain homotopy was found.  Falsy, like None."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NotHomotopic"
-
-    def __bool__(self):
-        return False
-
-
-NotHomotopic = NotHomotopicType()
+NotHomotopic = Sentinel("NotHomotopic")
 
 
 class VectorComplex:
     """Rational cochain complex: dims per degree, d(p): C^p -> C^(p+1)."""
 
-    __slots__ = ("dims", "differentials", "_coh_cache")
+    __slots__ = ("dims", "differentials")
 
     def __init__(self, dims: Sequence[int], differentials: Sequence[RationalMatrix]):
         dims = tuple(dims)
@@ -80,7 +66,6 @@ class VectorComplex:
                 raise ValueError(f"d o d is nonzero in degree {p}")
         self.dims = dims
         self.differentials = differentials
-        self._coh_cache = {}
 
     @property
     def horizon(self) -> int:
@@ -254,7 +239,6 @@ class SesOfComplexes:
     def __init__(self, sub_to_mid: ChainMap, mid_to_quot: ChainMap):
         if sub_to_mid.dst != mid_to_quot.src:
             raise ValueError("middle complexes disagree")
-        module_level = sub_to_mid.is_module_level()
         for p in range(sub_to_mid.horizon + 1):
             i = sub_to_mid.components[p]
             q = mid_to_quot.components[p]
@@ -266,7 +250,6 @@ class SesOfComplexes:
                 raise ValueError(f"quot map is not surjective in degree {p}")
             if i.ncols + q.nrows != i.nrows:
                 raise ValueError(f"dimensions do not add up in degree {p}")
-        del module_level
         self.sub_to_mid = sub_to_mid
         self.mid_to_quot = mid_to_quot
 
@@ -554,11 +537,7 @@ def find_homotopy(f: ChainMap, g: ChainMap, rng: Optional[random.Random] = None)
 
 
 def _find_homotopy_modules(e: ChainMap, rng: Optional[random.Random]):
-    from .modules import extend_along_mono, is_injective
-    from .linalg import image_basis
-
     src, dst = e.src, e.dst
-    algebra = src.objects[0].algebra
     h = [RationalMatrix.zeros(0, src.objects[0].dim)]
     for p in range(src.horizon):
         if not is_injective(dst.objects[p]):
@@ -569,21 +548,10 @@ def _find_homotopy_modules(e: ChainMap, rng: Optional[random.Random]):
             r = e.components[0]
         else:
             r = e.components[p] - dst.differentials[p - 1].matrix @ h[p]
-        d = src.differentials[p].matrix
-        if not (r @ kernel_basis(d)).is_zero():
+        d = src.differentials[p]
+        if not (r @ kernel_basis(d.matrix)).is_zero():
             return NotHomotopic
-        V = image_basis(d)
-        X_next = src.objects[p + 1].X
-        X_on_image = solve_matrix(V, X_next @ V)
-        if X_on_image is NoSolution:
-            raise ChaseFailure("image is not stable under the operator")
-        image_module = LambdaModule(algebra, X_on_image)
-        preimages = solve_matrix(d, V)
-        if preimages is NoSolution:
-            raise ChaseFailure("image basis has no preimages")
-        q = ModuleMap(image_module, dst.objects[p], r @ preimages)
-        mono = ModuleMap(image_module, src.objects[p + 1], V)
-        h.append(extend_along_mono(mono, q, rng).matrix)
+        h.append(extend_over(d, r, dst.objects[p], rng).matrix)
     return h
 
 

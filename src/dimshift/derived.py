@@ -26,6 +26,7 @@ from .linalg import (
     Rat,
     RationalMatrix,
     Subspace,
+    quotient,
     rank,
     solve_matrix,
 )
@@ -57,7 +58,6 @@ from .resolutions import (
     lift_resolution_map,
     split_resolution,
 )
-from .linalg import quotient
 
 
 class AcyclicityFailure(Exception):

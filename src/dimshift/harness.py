@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .linalg import Rat, RationalMatrix, inverse, rat
+from .linalg import RationalMatrix, inverse, rat
 from .modules import (
     FunctorSpec,
     LambdaModule,
@@ -169,55 +169,34 @@ def gen_padded_resolution(
         pads.append((q, E))
     if not pads:
         return base
-    # Per-degree layout: the registry object first, then pad slots.
-    slots = [[] for _ in range(horizon + 1)]  # (pad_id, module, is_target_end)
-    for pid, (q, E) in enumerate(pads):
-        slots[q].append((pid, E, False))
-        slots[q + 1].append((pid, E, True))
-    objects = []
-    offsets = []  # per degree: {(pad_id, is_target_end): offset}
-    for p in range(horizon + 1):
-        parts = [base.objects[p].X]
-        level_offsets = {}
-        running = base.objects[p].dim
-        for pid, E, end in slots[p]:
-            level_offsets[(pid, end)] = running
-            parts.append(E.X)
-            running += E.dim
-        rows = [[Rat(0)] * running for _ in range(running)]
-        at = 0
-        for blk in parts:
-            for i in range(blk.nrows):
-                for j in range(blk.ncols):
-                    v = blk.entry(i, j)
-                    if v:
-                        rows[at + i][at + j] = v
-            at += blk.nrows
-        objects.append(LambdaModule(cfg.algebra, RationalMatrix(rows, running)))
-        offsets.append(level_offsets)
-    differentials = []
-    for p in range(horizon):
-        nrows = objects[p + 1].dim
-        ncols = objects[p].dim
-        rows = [[Rat(0)] * ncols for _ in range(nrows)]
-        d = base.complex.differentials[p].matrix
-        for i in range(d.nrows):
-            for j in range(d.ncols):
-                v = d.entry(i, j)
-                if v:
-                    rows[i][j] = v
-        for pid, (q, E) in enumerate(pads):
-            if q == p:
-                src_off = offsets[p][(pid, False)]
-                dst_off = offsets[p + 1][(pid, True)]
-                for t in range(E.dim):
-                    rows[dst_off + t][src_off + t] = Rat(1)
-        differentials.append(
-            ModuleMap(objects[p], objects[p + 1], RationalMatrix(rows, ncols))
+    # Block-diagonal sum: the registry complex first, then the pads in
+    # draw order.  A pad at q is E --id--> E in degrees q and q + 1.
+    def pad_dim(q, E, p):
+        return E.dim if p in (q, q + 1) else 0
+
+    def pad_differential(q, E, p):
+        if p == q:
+            return RationalMatrix.identity(E.dim)
+        return RationalMatrix.zeros(pad_dim(q, E, p + 1), pad_dim(q, E, p))
+
+    diag = RationalMatrix.block_diagonal
+    objects = [
+        LambdaModule(
+            cfg.algebra,
+            diag([base.objects[p].X] + [E.X for q, E in pads if pad_dim(q, E, p)]),
         )
-    aug_rows = [list(base.augmentation.matrix.row(i)) for i in range(base.objects[0].dim)]
-    aug_rows += [[Rat(0)] * M.dim for _ in range(objects[0].dim - base.objects[0].dim)]
-    augmentation = ModuleMap(M, objects[0], RationalMatrix(aug_rows, M.dim))
+        for p in range(horizon + 1)
+    ]
+    differentials = [
+        ModuleMap(
+            objects[p],
+            objects[p + 1],
+            diag([base.differential(p).matrix] + [pad_differential(q, E, p) for q, E in pads]),
+        )
+        for p in range(horizon)
+    ]
+    padding = RationalMatrix.zeros(objects[0].dim - base.objects[0].dim, 0)
+    augmentation = ModuleMap(M, objects[0], diag([base.augmentation.matrix, padding]))
     return Resolution(M, augmentation, ModuleComplex(objects, differentials))
 
 
@@ -244,8 +223,20 @@ class RunReport:
 
 def _trial_seeds(cfg: GeneratorConfig):
     top = random.Random(cfg.seed)
-    for index in range(cfg.trials):
-        yield index, top.randrange(2**32)
+    for _ in range(cfg.trials):
+        yield top.randrange(2**32)
+
+
+def _report(config: dict, trials: list, started: float) -> RunReport:
+    passed = all(t["verdict"] == "pass" for t in trials)
+    return RunReport(config, trials, passed, time.perf_counter() - started)
+
+
+def _run_suite(suite: str, cfg: GeneratorConfig, trial) -> RunReport:
+    """One record per sub-seed: the seed, then what trial(rng) returns."""
+    started = time.perf_counter()
+    trials = [{"seed": seed, **trial(random.Random(seed))} for seed in _trial_seeds(cfg)]
+    return _report({"suite": suite, **asdict(cfg)}, trials, started)
 
 
 def run_sign_suite(
@@ -254,29 +245,22 @@ def run_sign_suite(
     """Randomized check that the shift isomorphism equals the signed
     comparison isomorphism, trial by trial."""
     registry = registry or ResolutionRegistry()
-    started = time.time()
-    trials = []
-    for _, seed in _trial_seeds(cfg):
-        rng = random.Random(seed)
+
+    def trial(rng):
         F = gen_random_functor(cfg, rng)
         M = gen_random_module(cfg, rng)
         n = rng.randint(1, cfg.horizon)
         J = gen_padded_resolution(M, n + 1, cfg, rng, registry)
         report = verify_sign_identity(F, M, J, n, registry, rng)
-        trials.append(
-            {
-                "seed": seed,
-                "n": n,
-                "sign": report.sign,
-                "verdict": "pass" if report.verdict else "fail",
-                "c": matrix_to_lists(report.comparison),
-                "d": matrix_to_lists(report.shifted),
-            }
-        )
-    passed = all(t["verdict"] == "pass" for t in trials)
-    return RunReport(
-        {"suite": "verify-sign", **asdict(cfg)}, trials, passed, time.time() - started
-    )
+        return {
+            "n": n,
+            "sign": report.sign,
+            "verdict": "pass" if report.verdict else "fail",
+            "c": matrix_to_lists(report.comparison),
+            "d": matrix_to_lists(report.shifted),
+        }
+
+    return _run_suite("verify-sign", cfg, trial)
 
 
 def run_connecting_suite(
@@ -287,10 +271,8 @@ def run_connecting_suite(
     isomorphisms, and recomputing through a second independently
     filled horseshoe gives the same matrix."""
     registry = registry or ResolutionRegistry()
-    started = time.time()
-    trials = []
-    for _, seed in _trial_seeds(cfg):
-        rng = random.Random(seed)
+
+    def trial(rng):
         F = gen_random_functor(cfg, rng)
         E = gen_random_ses(cfg, rng)
         p = rng.randint(0, max(0, cfg.horizon - 2))
@@ -309,22 +291,14 @@ def run_connecting_suite(
         )
         independent = d1 == d2
         ok = square.verdict and independent
-        trials.append(
-            {
-                "seed": seed,
-                "degree": p,
-                "square": "pass" if square.verdict else "fail",
-                "independent": "pass" if independent else "fail",
-                "verdict": "pass" if ok else "fail",
-            }
-        )
-    passed = all(t["verdict"] == "pass" for t in trials)
-    return RunReport(
-        {"suite": "lemma-connecting", **asdict(cfg)},
-        trials,
-        passed,
-        time.time() - started,
-    )
+        return {
+            "degree": p,
+            "square": "pass" if square.verdict else "fail",
+            "independent": "pass" if independent else "fail",
+            "verdict": "pass" if ok else "fail",
+        }
+
+    return _run_suite("lemma-connecting", cfg, trial)
 
 
 def run_step_sign_suite(
@@ -334,10 +308,8 @@ def run_step_sign_suite(
     (-1)^(p+1) times the identity, and the rungs multiply out to the
     full sign."""
     registry = registry or ResolutionRegistry()
-    started = time.time()
-    trials = []
-    for _, seed in _trial_seeds(cfg):
-        rng = random.Random(seed)
+
+    def trial(rng):
         F = gen_random_functor(cfg, rng)
         M = gen_random_module(cfg, rng)
         n = rng.randint(1, cfg.horizon)
@@ -357,19 +329,14 @@ def run_step_sign_suite(
             )
         product_ok = product == sign_factor(n)
         ok = product_ok and all(s["verdict"] == "pass" for s in steps)
-        trials.append(
-            {
-                "seed": seed,
-                "n": n,
-                "product": "pass" if product_ok else "fail",
-                "verdict": "pass" if ok else "fail",
-                "steps": steps,
-            }
-        )
-    passed = all(t["verdict"] == "pass" for t in trials)
-    return RunReport(
-        {"suite": "lemma-steps", **asdict(cfg)}, trials, passed, time.time() - started
-    )
+        return {
+            "n": n,
+            "product": "pass" if product_ok else "fail",
+            "verdict": "pass" if ok else "fail",
+            "steps": steps,
+        }
+
+    return _run_suite("lemma-steps", cfg, trial)
 
 
 def run_demo(m: int, n_max: int) -> RunReport:
@@ -377,7 +344,7 @@ def run_demo(m: int, n_max: int) -> RunReport:
 
     Prints nothing itself; returns the table of c^n, d^n, and signs.
     """
-    started = time.time()
+    started = time.perf_counter()
     algebra = TruncatedAlgebra(m)
     k = simple_module(algebra)
     F = FunctorSpec(algebra, k)
@@ -396,7 +363,4 @@ def run_demo(m: int, n_max: int) -> RunReport:
                 "d": matrix_to_lists(report.shifted),
             }
         )
-    passed = all(t["verdict"] == "pass" for t in trials)
-    return RunReport(
-        {"suite": "demo", "m": m, "n": n_max}, trials, passed, time.time() - started
-    )
+    return _report({"suite": "demo", "m": m, "n": n_max}, trials, started)

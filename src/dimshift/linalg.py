@@ -30,24 +30,22 @@ def rat(x) -> Rat:
     return Rat(x)
 
 
-class NoSolutionType:
-    """Sentinel for an inconsistent linear system.  Falsy, like None."""
+class Sentinel:
+    """A named marker value, falsy like None; compare it by identity."""
 
-    _instance = None
+    __slots__ = ("_name",)
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self._name = name
 
     def __repr__(self):
-        return "NoSolution"
+        return self._name
 
     def __bool__(self):
         return False
 
 
-NoSolution = NoSolutionType()
+NoSolution = Sentinel("NoSolution")
 
 
 class WellDefinednessFailure(Exception):
@@ -119,6 +117,19 @@ class RationalMatrix:
     def block(cls, grid: Sequence[Sequence["RationalMatrix"]]) -> "RationalMatrix":
         return cls.vstack([cls.hstack(list(row)) for row in grid])
 
+    @classmethod
+    def block_diagonal(cls, mats: Sequence["RationalMatrix"]) -> "RationalMatrix":
+        """The blocks down the diagonal, zero elsewhere.  A 0 x k block
+        adds k zero columns and a k x 0 block adds k zero rows."""
+        ncols = sum(m.ncols for m in mats)
+        rows = []
+        left = 0
+        for m in mats:
+            right = ncols - left - m.ncols
+            rows.extend([ZERO] * left + list(row) + [ZERO] * right for row in m.rows)
+            left += m.ncols
+        return cls(rows, ncols)
+
     def entry(self, i: int, j: int) -> Rat:
         return self.rows[i][j]
 
@@ -135,11 +146,6 @@ class RationalMatrix:
         return RationalMatrix(
             [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
             self.nrows,
-        )
-
-    def submatrix_columns(self, cols: Sequence[int]) -> "RationalMatrix":
-        return RationalMatrix(
-            [[row[j] for j in cols] for row in self.rows], len(cols)
         )
 
     def apply(self, vec: Sequence) -> tuple:
@@ -431,9 +437,6 @@ class Subspace:
 
     def contains_columns(self, M: RationalMatrix) -> bool:
         return all(self.contains(M.column(j)) for j in range(M.ncols))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return self.contains_columns(other.basis)
 
     def __eq__(self, other) -> bool:
         return (

@@ -31,6 +31,7 @@ from .linalg import (
     kernel_basis,
     quotient,
     rank,
+    rref,
     solve_matrix,
 )
 
@@ -223,37 +224,6 @@ class CanonicalForm:
     P_inv: RationalMatrix
 
 
-class _EchelonSpan:
-    """Growing subspace with O(dim) membership via echelon insertion."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.pivots = {}
-
-    def _reduce(self, vec: list):
-        for i in range(self.dim):
-            if vec[i]:
-                if i in self.pivots:
-                    c = vec[i]
-                    row = self.pivots[i]
-                    for j in range(i, self.dim):
-                        if row[j]:
-                            vec[j] -= c * row[j]
-                else:
-                    return i
-        return None
-
-    def add(self, vec: Sequence) -> bool:
-        """Insert vec; report whether it enlarged the span."""
-        vec = list(vec)
-        i = self._reduce(vec)
-        if i is None:
-            return False
-        inv = ONE / vec[i]
-        self.pivots[i] = [x * inv for x in vec]
-        return True
-
-
 def _shift_blocks(sizes: Sequence[int], total: int) -> RationalMatrix:
     rows = [[ZERO] * total for _ in range(total)]
     off = 0
@@ -291,16 +261,18 @@ def canonical_form(M: LambdaModule) -> CanonicalForm:
     s = len(kernels) - 1
     chains = []
     for height in range(s, 0, -1):
-        span = _EchelonSpan(d)
-        for j in range(kernels[height - 1].dim):
-            span.add(kernels[height - 1].basis.column(j))
-        for ch in chains:
-            if len(ch) > height:
-                if not span.add(ch[len(ch) - height]):
-                    raise ConstructionFailure("carried chain vector is dependent")
-        for j in range(kernels[height].dim):
-            cand = kernels[height].basis.column(j)
-            if span.add(cand):
+        # A column is a pivot exactly when it lies outside the span of
+        # the columns before it.
+        lower = kernels[height - 1].basis.columns()
+        carried = [ch[len(ch) - height] for ch in chains if len(ch) > height]
+        candidates = kernels[height].basis.columns()
+        _, pivots = rref(RationalMatrix.from_columns(lower + carried + candidates, d))
+        pivots = set(pivots)
+        start = len(lower) + len(carried)
+        if not pivots.issuperset(range(len(lower), start)):
+            raise ConstructionFailure("carried chain vector is dependent")
+        for j, cand in enumerate(candidates):
+            if start + j in pivots:
                 chain = [cand]
                 v = cand
                 for _ in range(height - 1):
@@ -583,32 +555,16 @@ class DirectSum:
 def direct_sum(M: LambdaModule, N: LambdaModule) -> DirectSum:
     if M.algebra != N.algebra:
         raise ValueError("summands live over different algebras")
-    d = M.dim + N.dim
-    X = RationalMatrix.block(
-        [
-            [M.X, RationalMatrix.zeros(M.dim, N.dim)],
-            [RationalMatrix.zeros(N.dim, M.dim), N.X],
-        ]
-    )
-    S = LambdaModule(M.algebra, X)
-    i_l = RationalMatrix.vstack(
-        [RationalMatrix.identity(M.dim), RationalMatrix.zeros(N.dim, M.dim)]
-    )
-    i_r = RationalMatrix.vstack(
-        [RationalMatrix.zeros(M.dim, N.dim), RationalMatrix.identity(N.dim)]
-    )
-    p_l = RationalMatrix.hstack(
-        [RationalMatrix.identity(M.dim), RationalMatrix.zeros(M.dim, N.dim)]
-    )
-    p_r = RationalMatrix.hstack(
-        [RationalMatrix.zeros(N.dim, M.dim), RationalMatrix.identity(N.dim)]
-    )
+    diag = RationalMatrix.block_diagonal
+    S = LambdaModule(M.algebra, diag([M.X, N.X]))
+    I_M = RationalMatrix.identity(M.dim)
+    I_N = RationalMatrix.identity(N.dim)
     return DirectSum(
         S,
-        ModuleMap(M, S, i_l),
-        ModuleMap(N, S, i_r),
-        ModuleMap(S, M, p_l),
-        ModuleMap(S, N, p_r),
+        ModuleMap(M, S, diag([I_M, RationalMatrix.zeros(N.dim, 0)])),
+        ModuleMap(N, S, diag([RationalMatrix.zeros(M.dim, 0), I_N])),
+        ModuleMap(S, M, diag([I_M, RationalMatrix.zeros(0, N.dim)])),
+        ModuleMap(S, N, diag([RationalMatrix.zeros(0, M.dim), I_N])),
     )
 
 
@@ -678,3 +634,23 @@ def extend_along_mono(
     if h.matrix @ mono.matrix != g.matrix:
         raise ConstructionFailure("extension does not restrict to the given map")
     return h
+
+
+def extend_over(
+    d: ModuleMap,
+    r: RationalMatrix,
+    target: LambdaModule,
+    rng: Optional[random.Random] = None,
+) -> ModuleMap:
+    """h: d.dst -> target with h o d = r, for an injective target and an
+    r that vanishes on ker d.
+
+    r descends to the image of d through preimages of the image basis,
+    and that map extends along the image inclusion.
+    """
+    fact = image_factorization(d)
+    preimages = solve_matrix(d.matrix, fact.inclusion.matrix)
+    if preimages is NoSolution:
+        raise ConstructionFailure("image basis has no preimages")
+    q = ModuleMap(fact.module, target, r @ preimages)
+    return extend_along_mono(fact.inclusion, q, rng)

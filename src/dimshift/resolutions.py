@@ -19,13 +19,7 @@ import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import (
-    NoSolution,
-    Rat,
-    RationalMatrix,
-    rank,
-    solve_matrix,
-)
+from .linalg import Rat, RationalMatrix, rank
 from .complexes import (
     ChainMap,
     ModuleComplex,
@@ -44,6 +38,7 @@ from .modules import (
     direct_sum,
     embed_into_injective,
     extend_along_mono,
+    extend_over,
     image_factorization,
     is_injective,
 )
@@ -212,6 +207,17 @@ def truncated_shift(J: Resolution, splitting: ResolutionSplitting, i: int) -> Re
 # ---------------------------------------------------------------------------
 # Horseshoe filler.
 
+def _split_sequence(
+    sub: ModuleComplex, mid: ModuleComplex, quot: ModuleComplex, sums: list
+) -> SesOfComplexes:
+    """0 -> sub -> mid -> quot -> 0 for a middle complex whose degree-p
+    object is sums[p], the direct sum of sub^p and quot^p."""
+    return SesOfComplexes(
+        ChainMap(sub, mid, [s.include_left.matrix for s in sums]),
+        ChainMap(mid, quot, [s.project_right.matrix for s in sums]),
+    )
+
+
 @dataclass(frozen=True)
 class Horseshoe:
     """A resolution of the middle of a short exact sequence, fitted so
@@ -293,13 +299,7 @@ def horseshoe(
         prev_projection = cok_mid.projection
         middle = cok_mid.module
     filled = Resolution(E.mid, aug, ModuleComplex(objects, differentials))
-    sub_chain = ChainMap(
-        RA.complex, filled.complex, [s.include_left.matrix for s in sums]
-    )
-    quot_chain = ChainMap(
-        filled.complex, RB.complex, [s.project_right.matrix for s in sums]
-    )
-    return Horseshoe(filled, SesOfComplexes(sub_chain, quot_chain))
+    return Horseshoe(filled, _split_sequence(RA.complex, filled.complex, RB.complex, sums))
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +328,8 @@ def lift_resolution_map(
         extend_along_mono(RS.augmentation, compose(RT.augmentation, phi), rng).matrix
     ]
     for p in range(h):
-        d = RS.differential(p)
         w = RT.differential(p).matrix @ components[p]
-        fact = image_factorization(d)
-        preimages = solve_matrix(d.matrix, fact.inclusion.matrix)
-        if preimages is NoSolution:
-            raise ConstructionFailure("image basis has no preimages")
-        q = ModuleMap(fact.module, RT.objects[p + 1], w @ preimages)
-        components.append(extend_along_mono(fact.inclusion, q, rng).matrix)
+        components.append(extend_over(RS.differential(p), w, RT.objects[p + 1], rng).matrix)
     return ChainMap(RS.complex, RT.complex, components)
 
 
@@ -399,13 +393,7 @@ def cylinder_resolution(J: Resolution, splitting: ResolutionSplitting, i: int) -
     tail = ModuleComplex(
         J.objects[i + 1 : i + h + 2], J.complex.differentials[i + 1 : i + h + 1]
     )
-    sub_chain = ChainMap(
-        head, resolution.complex, [s.include_left.matrix for s in sums]
-    )
-    quot_chain = ChainMap(
-        resolution.complex, tail, [s.project_right.matrix for s in sums]
-    )
-    return Cylinder(resolution, SesOfComplexes(sub_chain, quot_chain))
+    return Cylinder(resolution, _split_sequence(head, resolution.complex, tail, sums))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dimshift.harness import (
     run_sign_suite,
     run_step_sign_suite,
 )
+from dimshift.linalg import RationalMatrix
 from dimshift.resolutions import ResolutionRegistry
 from dimshift.serialize import module_from_json, module_map_from_json
 
@@ -68,6 +69,62 @@ def test_padded_resolutions_are_valid_and_plain_without_padding():
     padded = gen_padded_resolution(Mod, 3, cfg, random.Random(3), registry)
     assert padded.base == Mod
     assert padded.is_degreewise_injective()
+
+
+def test_padded_resolution_is_the_registry_resolution_plus_identity_pads():
+    cfg = GeneratorConfig(seed=0, m=2, max_dim=5, max_padding=3)
+    registry = ResolutionRegistry()
+    Mod = gen_random_module(cfg, random.Random(8))
+    horizon = 4
+    padded = gen_padded_resolution(Mod, horizon, cfg, random.Random(0), registry)
+    base = registry.resolution(Mod, horizon)
+    # The generator's draws, in order: the pad count, then per pad its
+    # degree q and the rank of the free module E.
+    draws = random.Random(0)
+    pads = []
+    for _ in range(draws.randint(0, cfg.max_padding)):
+        q = draws.randint(0, horizon - 1)
+        pads.append((q, cfg.m * draws.randint(1, 2)))
+    # Three pads, two of them sharing a degree with the third, so the
+    # block order shows.
+    assert [q for q, _ in pads] == [3, 2, 3]
+
+    def block(A, rows, cols):
+        return RationalMatrix([A.row(i)[cols[0]:cols[1]] for i in range(*rows)], cols[1] - cols[0])
+
+    dims = [J.dim for J in base.objects]
+    offsets = []  # per pad: its block offset in degree q and in degree q + 1
+    extra = [0] * (horizon + 1)
+    for q, e in pads:
+        offsets.append((dims[q] + extra[q], dims[q + 1] + extra[q + 1]))
+        extra[q] += e
+        extra[q + 1] += e
+    assert [J.dim for J in padded.objects] == [d + x for d, x in zip(dims, extra)]
+    # The leading block is the registry resolution, and nothing else
+    # touches it.
+    for p in range(horizon + 1):
+        X = padded.objects[p].X
+        assert block(X, (0, dims[p]), (0, dims[p])) == base.objects[p].X
+        assert block(X, (0, dims[p]), (dims[p], X.ncols)).is_zero()
+        assert block(X, (dims[p], X.nrows), (0, dims[p])).is_zero()
+    for p in range(horizon):
+        d = padded.differential(p).matrix
+        assert block(d, (0, dims[p + 1]), (0, dims[p])) == base.differential(p).matrix
+        assert block(d, (0, dims[p + 1]), (dims[p], d.ncols)).is_zero()
+        assert block(d, (dims[p + 1], d.nrows), (0, dims[p])).is_zero()
+    aug = padded.augmentation.matrix
+    assert block(aug, (0, dims[0]), (0, Mod.dim)) == base.augmentation.matrix
+    assert block(aug, (dims[0], aug.nrows), (0, Mod.dim)).is_zero()
+    # Each pad is an identity block from degree q to degree q + 1.
+    for (q, e), (src, dst) in zip(pads, offsets):
+        d = padded.differential(q).matrix
+        assert block(d, (dst, dst + e), (src, src + e)) == RationalMatrix.identity(e)
+    pad_total = sum(
+        sum(1 for x in padded.differential(p).matrix.rows[i] if x)
+        for p in range(horizon)
+        for i in range(dims[p + 1], padded.objects[p + 1].dim)
+    )
+    assert pad_total == sum(e for _, e in pads)
 
 
 def test_trial_seed_stream_is_stable():
@@ -196,3 +253,22 @@ def test_cli_reports_failure_exit_code_on_bad_flags(capsys):
     with pytest.raises(SystemExit):
         main(["verify-sign", "--format", "xml"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-sign", "--m", "1"],
+        ["verify-lemmas", "--trials", "0"],
+        ["verify-sign", "--horizon", "1"],
+        ["dump", "--max-dim", "0"],
+        ["verify-sign", "--max-padding", "-1"],
+        ["demo", "--m", "1"],
+    ],
+)
+def test_cli_bad_flag_values_exit_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "Traceback" not in captured.err

@@ -228,3 +228,27 @@ def test_rational_arithmetic_is_exact():
     assert third * rat(3) == rat(1)
     A = M([[1, 1], [0, 1]]) * third
     assert (A * rat(3)).entry(0, 0) == Rat(1)
+
+
+def test_block_diagonal_places_blocks_and_empty_blocks():
+    A = M([[1, 2], [3, 4]])
+    B = M([[5]])
+    wide = RationalMatrix.zeros(0, 2)  # adds two zero columns
+    tall = RationalMatrix.zeros(3, 0)  # adds three zero rows
+    D = RationalMatrix.block_diagonal([A, wide, tall, B])
+    assert (D.nrows, D.ncols) == (6, 5)
+    assert D == M(
+        [
+            [1, 2, 0, 0, 0],
+            [3, 4, 0, 0, 0],
+            [0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 5],
+        ]
+    )
+    assert RationalMatrix.block_diagonal([A]) == A
+    empty = RationalMatrix.block_diagonal([])
+    assert (empty.nrows, empty.ncols) == (0, 0)
+    only_columns = RationalMatrix.block_diagonal([wide, RationalMatrix.zeros(0, 1)])
+    assert (only_columns.nrows, only_columns.ncols) == (0, 3)

@@ -15,6 +15,7 @@ introduced by the chase itself.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Optional, Sequence
 
@@ -33,6 +34,7 @@ from .linalg import (
 from .modules import (
     FunctorSpec,
     LambdaModule,
+    MEMO_SIZE,
     ModuleMap,
     apply_F_map,
     apply_F_object,
@@ -335,9 +337,7 @@ class CohomologyPresentation:
         return f"CohomologyPresentation(degree={self.degree}, dim={self.dim})"
 
 
-_cohomology_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def cohomology(C: VectorComplex, n: int) -> CohomologyPresentation:
     """Present H^n(C).  Degrees 0 <= n <= horizon; d(-1) = 0.
 
@@ -347,10 +347,6 @@ def cohomology(C: VectorComplex, n: int) -> CohomologyPresentation:
     """
     if not 0 <= n <= C.horizon:
         raise ValueError("degree out of range")
-    key = (C, n)
-    cached = _cohomology_cache.get(key)
-    if cached is not None:
-        return cached
     ambient = C.dims[n]
     if n < C.horizon:
         Z = Subspace.from_columns(kernel_basis(C.differentials[n]))
@@ -363,9 +359,7 @@ def cohomology(C: VectorComplex, n: int) -> CohomologyPresentation:
         if coords is NoSolution:
             raise ChaseFailure("boundaries are not cocycles")
     pres = quotient(Z.dim, Subspace.from_columns(coords))
-    result = CohomologyPresentation(n, ambient, Z, pres)
-    _cohomology_cache[key] = result
-    return result
+    return CohomologyPresentation(n, ambient, Z, pres)
 
 
 def induced_on_cohomology(f: ChainMap, n: int) -> RationalMatrix:
@@ -389,19 +383,12 @@ def induced_on_cohomology(f: ChainMap, n: int) -> RationalMatrix:
 # ---------------------------------------------------------------------------
 # Applying F = Hom(A, -).
 
-_f_complex_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def apply_F_complex(F: FunctorSpec, C: ModuleComplex) -> VectorComplex:
-    key = (F, C)
-    cached = _f_complex_cache.get(key)
-    if cached is None:
-        cached = VectorComplex(
-            [apply_F_object(F, M).dim for M in C.objects],
-            [apply_F_map(F, d) for d in C.differentials],
-        )
-        _f_complex_cache[key] = cached
-    return cached
+    return VectorComplex(
+        [apply_F_object(F, M).dim for M in C.objects],
+        [apply_F_map(F, d) for d in C.differentials],
+    )
 
 
 def apply_F_chain_map(F: FunctorSpec, f: ChainMap) -> ChainMap:
@@ -437,6 +424,39 @@ def _random_combination(basis: RationalMatrix, width: int, rng: random.Random) -
     return basis @ coeffs
 
 
+def _chase(
+    E: SesOfComplexes,
+    i: int,
+    cocycles: Optional[RationalMatrix],
+    rng: Optional[random.Random],
+) -> RationalMatrix:
+    """Chase quotient cocycles (columns) in degree i to sub cocycles in
+    degree i+1: lift through the epimorphism, apply the middle
+    differential, pull back through the monomorphism.  cocycles=None
+    chases the chosen representatives of H^i(quot).  With rng given and
+    at least one column, the lifts are shifted by random kernel
+    elements."""
+    if E.sub_to_mid.is_module_level():
+        raise ValueError("the chase runs on vector complexes")
+    if not 0 <= i < E.sub.horizon:
+        raise ValueError("degree out of range for the connecting map")
+    if cocycles is None:
+        cocycles = cohomology(E.quot, i).representatives()
+    pi = E.mid_to_quot.components[i]
+    lifts = solve_matrix(pi, cocycles)
+    if lifts is NoSolution:
+        raise ChaseFailure("cannot lift through the epimorphism")
+    if rng is not None and lifts.ncols:
+        null = kernel_basis(pi)
+        if null.ncols:
+            lifts = lifts + _random_combination(null, lifts.ncols, rng)
+    moved = E.mid.differentials[i] @ lifts
+    pulled = solve_matrix(E.sub_to_mid.components[i + 1], moved)
+    if pulled is NoSolution:
+        raise ChaseFailure("cannot pull back through the monomorphism")
+    return pulled
+
+
 def snake_delta_matrix(
     E: SesOfComplexes, i: int, rng: Optional[random.Random] = None
 ) -> RationalMatrix:
@@ -447,25 +467,7 @@ def snake_delta_matrix(
     given, the lift is shifted by random kernel elements; the induced
     classes do not change (verified in tests, not assumed here).
     """
-    if E.sub_to_mid.is_module_level():
-        raise ValueError("the chase runs on vector complexes")
-    if not 0 <= i < E.sub.horizon:
-        raise ValueError("degree out of range for the connecting map")
-    Hq = cohomology(E.quot, i)
-    reps = Hq.representatives()
-    pi = E.mid_to_quot.components[i]
-    lifts = solve_matrix(pi, reps)
-    if lifts is NoSolution:
-        raise ChaseFailure("cannot lift through the epimorphism")
-    if rng is not None and Hq.dim:
-        null = kernel_basis(pi)
-        if null.ncols:
-            lifts = lifts + _random_combination(null, lifts.ncols, rng)
-    moved = E.mid.differentials[i] @ lifts
-    iota = E.sub_to_mid.components[i + 1]
-    pulled = solve_matrix(iota, moved)
-    if pulled is NoSolution:
-        raise ChaseFailure("cannot pull back through the monomorphism")
+    pulled = _chase(E, i, None, rng)
     return cohomology(E.sub, i + 1).project_columns(pulled)
 
 
@@ -478,22 +480,7 @@ def snake_delta_class(
     complex at degree i+1, well defined up to coboundary; project it
     through cohomology(E.sub, i+1) for the class itself.
     """
-    if E.sub_to_mid.is_module_level():
-        raise ValueError("the chase runs on vector complexes")
-    pi = E.mid_to_quot.components[i]
-    lift = solve_matrix(pi, RationalMatrix.column_vector(cocycle))
-    if lift is NoSolution:
-        raise ChaseFailure("cannot lift through the epimorphism")
-    if rng is not None:
-        null = kernel_basis(pi)
-        if null.ncols:
-            lift = lift + _random_combination(null, 1, rng)
-    moved = E.mid.differentials[i] @ lift
-    iota = E.sub_to_mid.components[i + 1]
-    pulled = solve_matrix(iota, moved)
-    if pulled is NoSolution:
-        raise ChaseFailure("cannot pull back through the monomorphism")
-    return pulled.column(0)
+    return _chase(E, i, RationalMatrix.column_vector(cocycle), rng).column(0)
 
 
 # ---------------------------------------------------------------------------

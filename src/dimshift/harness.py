@@ -60,8 +60,7 @@ class GeneratorConfig:
     trials: int = 50
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("truncation order must be at least 2")
+        TruncatedAlgebra(self.m)
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2")
         if self.trials < 1:

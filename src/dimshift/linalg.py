@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-All arithmetic uses gmpy2.mpq (always reduced, positive denominator);
-there is no tolerance parameter anywhere.  Matrices are immutable and
-act on column vectors, so composition reads right to left:
-(A @ B)(v) = A(B(v)).
+All arithmetic uses gmpy2.mpq, with fractions.Fraction as the fallback
+that runs when gmpy2 is missing.  Both keep every value reduced with a
+positive denominator; there is no tolerance parameter anywhere.
+Matrices are immutable and act on column vectors, so composition reads
+right to left: (A @ B)(v) = A(B(v)).
 
 Subspaces carry a canonical basis in reduced column echelon form: the
 topmost nonzero entry of each basis column is 1, those pivot rows are
@@ -485,9 +486,6 @@ class QuotientPresentation:
     @property
     def dim(self) -> int:
         return self.representative_basis.ncols
-
-    def reduce(self, vec: Sequence) -> tuple:
-        return self.reduction_map.apply(vec)
 
     def reduce_columns(self, M: RationalMatrix) -> RationalMatrix:
         return self.reduction_map @ M

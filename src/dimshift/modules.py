@@ -15,6 +15,7 @@ expresses post-composition in those bases.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -34,6 +35,11 @@ from .linalg import (
     rref,
     solve_matrix,
 )
+
+
+# Entries each content-keyed memo (canonical forms, Hom bases,
+# F-complexes, cohomology) keeps before it evicts the least recently used.
+MEMO_SIZE = 256
 
 
 class ConstructionFailure(Exception):
@@ -234,9 +240,7 @@ def _shift_blocks(sizes: Sequence[int], total: int) -> RationalMatrix:
     return RationalMatrix(rows, total)
 
 
-_canonical_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def canonical_form(M: LambdaModule) -> CanonicalForm:
     """Chain basis for the nilpotent operator of M, cached by fingerprint.
 
@@ -245,14 +249,9 @@ def canonical_form(M: LambdaModule) -> CanonicalForm:
     tails of the chains already chosen.  Chains of equal length keep
     extraction order, so the result is deterministic.
     """
-    cached = _canonical_cache.get(M)
-    if cached is not None:
-        return cached
     d, X = M.dim, M.X
     if d == 0:
-        result = CanonicalForm((), (), RationalMatrix.zeros(0, 0), RationalMatrix.zeros(0, 0))
-        _canonical_cache[M] = result
-        return result
+        return CanonicalForm((), (), RationalMatrix.zeros(0, 0), RationalMatrix.zeros(0, 0))
     kernels = [Subspace.zero(d)]
     power = RationalMatrix.identity(d)
     while kernels[-1].dim < d:
@@ -296,9 +295,7 @@ def canonical_form(M: LambdaModule) -> CanonicalForm:
     for j in sizes:
         offsets.append(off)
         off += j
-    result = CanonicalForm(sizes, tuple(offsets), P, P_inv)
-    _canonical_cache[M] = result
-    return result
+    return CanonicalForm(sizes, tuple(offsets), P, P_inv)
 
 
 def is_injective(M: LambdaModule) -> bool:
@@ -406,16 +403,9 @@ class HomBasis:
         return total
 
 
-_hom_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def hom_basis(A: LambdaModule, B: LambdaModule) -> HomBasis:
-    key = (A, B)
-    cached = _hom_cache.get(key)
-    if cached is None:
-        cached = HomBasis(A, B)
-        _hom_cache[key] = cached
-    return cached
+    return HomBasis(A, B)
 
 
 def hom_space(A: LambdaModule, B: LambdaModule) -> Subspace:

@@ -399,19 +399,11 @@ def cylinder_resolution(J: Resolution, splitting: ResolutionSplitting, i: int) -
 # ---------------------------------------------------------------------------
 # Acyclicity.
 
-_acyclicity_cache: dict = {}
-
-
 def is_F_acyclic(
     F: FunctorSpec, M: LambdaModule, horizon: int, registry: ResolutionRegistry
 ) -> bool:
     """Whether the right derived functors of F vanish on M in degrees
     1..horizon, computed from the registry resolution."""
-    key = (F, M, horizon)
-    cached = _acyclicity_cache.get(key)
-    if cached is None:
-        R = registry.resolution(M, horizon + 1)
-        FC = apply_F_complex(F, R.complex)
-        cached = all(cohomology(FC, q).dim == 0 for q in range(1, horizon + 1))
-        _acyclicity_cache[key] = cached
-    return cached
+    R = registry.resolution(M, horizon + 1)
+    FC = apply_F_complex(F, R.complex)
+    return all(cohomology(FC, q).dim == 0 for q in range(1, horizon + 1))

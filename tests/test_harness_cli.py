@@ -272,3 +272,13 @@ def test_cli_bad_flag_values_exit_2_with_one_line(argv, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert "Traceback" not in captured.err
+
+
+def test_cli_bad_m_gives_one_message_for_every_command(capsys):
+    lines = []
+    for command in ("verify-sign", "demo"):
+        assert main([command, "--m", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: ")
+        lines.append(err[len(command) + 2:])
+    assert lines[0] == lines[1]

@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from dimshift.cli import main
+from dimshift.complexes import apply_F_complex, cohomology
 from dimshift.harness import (
     GeneratorConfig,
     run_connecting_suite,
@@ -18,7 +19,10 @@ from dimshift.harness import (
     run_sign_suite,
     run_step_sign_suite,
 )
+from dimshift.modules import canonical_form, hom_basis
 from dimshift.serialize import dumps
+
+MEMOS = (canonical_form, hom_basis, cohomology, apply_F_complex)
 
 
 def sha256(text: str) -> str:
@@ -31,29 +35,47 @@ def report_digest(report) -> str:
     return sha256(dumps(payload))
 
 
+PINNED = [
+    (
+        "verify-sign",
+        lambda: run_sign_suite(GeneratorConfig(seed=2, m=2, max_dim=6, horizon=3, trials=3)),
+        "47bda7c15f2d0d40c925684a6bea5b62e5676b13282f02f684466bc1f251114a",
+    ),
+    (
+        "lemma-connecting",
+        lambda: run_connecting_suite(GeneratorConfig(seed=3, m=2, max_dim=6, horizon=3, trials=2)),
+        "f3ae90e7626703974edbe6f5a932b043ef1b334c09077b6e6672a990ffb2bbb4",
+    ),
+    (
+        "lemma-steps",
+        lambda: run_step_sign_suite(GeneratorConfig(seed=4, m=2, max_dim=6, horizon=3, trials=2)),
+        "42a701e3f37eb76de1db67e1561521131b5bd871d85128d04fb67d6b1b3f19d0",
+    ),
+    (
+        "demo",
+        lambda: run_demo(3, 5),
+        "28faee3e2d57c668ce0fe59bf832be0c169e7784b0cda93058da740d131aec1a",
+    ),
+]
+
+
+# Warm runs the same work once first so every memo already holds it;
+# cold empties the memos.  Both must write the same bytes.
 @pytest.mark.parametrize(
-    "run, digest",
+    "run, digest, cold",
     [
-        (
-            lambda: run_sign_suite(GeneratorConfig(seed=2, m=2, max_dim=6, horizon=3, trials=3)),
-            "47bda7c15f2d0d40c925684a6bea5b62e5676b13282f02f684466bc1f251114a",
-        ),
-        (
-            lambda: run_connecting_suite(GeneratorConfig(seed=3, m=2, max_dim=6, horizon=3, trials=2)),
-            "f3ae90e7626703974edbe6f5a932b043ef1b334c09077b6e6672a990ffb2bbb4",
-        ),
-        (
-            lambda: run_step_sign_suite(GeneratorConfig(seed=4, m=2, max_dim=6, horizon=3, trials=2)),
-            "42a701e3f37eb76de1db67e1561521131b5bd871d85128d04fb67d6b1b3f19d0",
-        ),
-        (
-            lambda: run_demo(3, 5),
-            "28faee3e2d57c668ce0fe59bf832be0c169e7784b0cda93058da740d131aec1a",
-        ),
+        pytest.param(run, digest, cold, id=name + ("-cold" if cold else ""))
+        for name, run, digest in PINNED
+        for cold in (False, True)
     ],
-    ids=["verify-sign", "lemma-connecting", "lemma-steps", "demo"],
 )
-def test_report_bytes_are_pinned(run, digest):
+def test_report_bytes_are_pinned(run, digest, cold):
+    if cold:
+        for memo in MEMOS:
+            memo.cache_clear()
+            assert memo.cache_info().currsize == 0
+    else:
+        run()
     assert report_digest(run()) == digest
 
 

@@ -76,11 +76,10 @@ from .complexes import (
     snake_delta_matrix,
 )
 from .resolutions import (
-    Cylinder,
-    Horseshoe,
     Resolution,
     ResolutionRegistry,
     ResolutionSplitting,
+    TwistedSum,
     cylinder_resolution,
     horseshoe,
     injective_resolution,

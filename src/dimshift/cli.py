@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from .derived import sign_factor
 from .harness import (
+    ConfigError,
     GeneratorConfig,
     RunReport,
     gen_padded_resolution,
@@ -27,7 +29,6 @@ from .harness import (
     run_step_sign_suite,
 )
 from .complexes import apply_F_complex
-from .modules import TruncatedAlgebra
 from .resolutions import ResolutionRegistry
 from .serialize import (
     complex_to_json,
@@ -93,14 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> GeneratorConfig:
-    return GeneratorConfig(
-        seed=args.seed,
-        m=args.m,
-        max_dim=args.max_dim,
-        max_padding=args.max_padding,
-        horizon=args.horizon,
-        trials=args.trials,
-    )
+    """Each generator flag's dest is the GeneratorConfig field it sets."""
+    return GeneratorConfig(**{f.name: getattr(args, f.name) for f in fields(GeneratorConfig)})
 
 
 def _emit_report(report: RunReport, args) -> int:
@@ -200,11 +195,12 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "demo":
-            TruncatedAlgebra(args.m)
+            GeneratorConfig(m=args.m)  # the same --m check as the suites'
         elif args.command != "sign-table":
             args.config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+    except ConfigError as exc:
+        flag = "--" + exc.field.replace("_", "-")
+        print(f"{args.command}: {flag} {exc.requirement}", file=sys.stderr)
         return 2
     handlers = {
         "demo": _cmd_demo,

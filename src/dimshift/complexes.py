@@ -38,7 +38,7 @@ from .modules import (
     ModuleMap,
     apply_F_map,
     apply_F_object,
-    extend_over,
+    extend_along_mono,
     is_injective,
 )
 
@@ -538,7 +538,7 @@ def _find_homotopy_modules(e: ChainMap, rng: Optional[random.Random]):
         d = src.differentials[p]
         if not (r @ kernel_basis(d.matrix)).is_zero():
             return NotHomotopic
-        h.append(extend_over(d, r, dst.objects[p], rng).matrix)
+        h.append(extend_along_mono(d, ModuleMap(d.src, dst.objects[p], r), rng).matrix)
     return h
 
 

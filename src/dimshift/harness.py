@@ -17,6 +17,7 @@ from typing import Optional
 
 from .linalg import RationalMatrix, inverse, rat
 from .modules import (
+    ConstructionFailure,
     FunctorSpec,
     LambdaModule,
     ModuleMap,
@@ -41,6 +42,17 @@ from .derived import (
 from .serialize import matrix_to_lists
 
 _ENTRY_BIT_CAP = 64
+# Draws each regeneration loop makes before it gives up.
+_ATTEMPTS = 64
+
+
+class ConfigError(ValueError):
+    """A GeneratorConfig field holds a value the generator rejects."""
+
+    def __init__(self, field: str, requirement: str):
+        super().__init__(f"{field} {requirement}")
+        self.field = field
+        self.requirement = requirement
 
 
 @dataclass(frozen=True)
@@ -60,15 +72,11 @@ class GeneratorConfig:
     trials: int = 50
 
     def __post_init__(self):
-        TruncatedAlgebra(self.m)
-        if self.horizon < 2:
-            raise ValueError("horizon must be at least 2")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
-        if self.max_dim < 1:
-            raise ValueError("max_dim must be positive")
-        if self.max_padding < 0:
-            raise ValueError("max_padding must be nonnegative")
+        for field, least in (
+            ("m", 2), ("horizon", 2), ("trials", 1), ("max_dim", 1), ("max_padding", 0)
+        ):
+            if getattr(self, field) < least:
+                raise ConfigError(field, f"must be at least {least}")
 
     @property
     def algebra(self) -> TruncatedAlgebra:
@@ -76,7 +84,7 @@ class GeneratorConfig:
 
 
 def _random_invertible(dim: int, rng: random.Random) -> RationalMatrix:
-    while True:
+    for _ in range(_ATTEMPTS):
         P = RationalMatrix(
             [[rat(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)], dim
         )
@@ -85,6 +93,7 @@ def _random_invertible(dim: int, rng: random.Random) -> RationalMatrix:
         except ValueError:
             continue
         return P
+    raise ConstructionFailure(f"no invertible draw in {_ATTEMPTS} attempts")
 
 
 def gen_random_module(
@@ -102,11 +111,12 @@ def gen_random_module(
         sizes.append(s)
         left -= s
     X0 = _shift_blocks(sizes, dim)
-    while True:
+    for _ in range(_ATTEMPTS):
         P = _random_invertible(dim, rng)
         X = P @ (X0 @ inverse(P))
         if X.max_bit_length() <= _ENTRY_BIT_CAP:
             return LambdaModule(cfg.algebra, X)
+    raise ConstructionFailure(f"no conjugate under the bit cap in {_ATTEMPTS} attempts")
 
 
 def gen_random_functor(cfg: GeneratorConfig, rng: random.Random) -> FunctorSpec:
@@ -132,7 +142,7 @@ def gen_random_ses(cfg: GeneratorConfig, rng: random.Random) -> SesModules:
     Degenerate ends (zero kernel or zero image) are regenerated away so
     the sequence genuinely has three nonzero terms most of the time.
     """
-    for _ in range(64):
+    for _ in range(_ATTEMPTS):
         C = gen_random_module(cfg, rng)
         D = gen_random_module(cfg, rng)
         g = gen_random_map(C, D, rng)

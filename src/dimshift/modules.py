@@ -559,7 +559,7 @@ def direct_sum(M: LambdaModule, N: LambdaModule) -> DirectSum:
 
 
 # ---------------------------------------------------------------------------
-# Extension along monomorphisms into free modules.
+# Extension into free modules.
 
 def _power_list(X: RationalMatrix, count: int) -> list:
     powers = [RationalMatrix.identity(X.nrows)]
@@ -569,19 +569,23 @@ def _power_list(X: RationalMatrix, count: int) -> list:
 
 
 def extend_along_mono(
-    mono: ModuleMap, g: ModuleMap, rng: Optional[random.Random] = None
+    f: ModuleMap, g: ModuleMap, rng: Optional[random.Random] = None
 ) -> ModuleMap:
-    """h with h o mono = g, for g into a free (= injective) module.
+    """h with h o f = g, for g into a free (= injective) module.
 
     Free modules are self-dual here: a map into the regular module is
     the same thing as a plain linear functional (read the top
-    coefficient), and linear functionals extend along any injection.
-    Extending those functionals and rebuilding gives h; rng, when
-    given, varies the extension within its solution space.
+    coefficient), and a linear functional extends along any linear
+    map whose kernel it kills.  Extending those functionals and
+    rebuilding gives h, so f need not be injective: g only has to
+    vanish on ker f, which a monomorphism satisfies automatically.
+    When it does not, the functional system is inconsistent and
+    ConstructionFailure is raised.  rng, when given, varies the
+    extension within its solution space.
     """
     E = g.dst
-    C = mono.dst
-    if mono.src != g.src:
+    C = f.dst
+    if f.src != g.src:
         raise ValueError("extension problem endpoints disagree")
     if not is_injective(E):
         raise ConstructionFailure("extension target is not injective")
@@ -596,14 +600,14 @@ def extend_along_mono(
         lam = cf.P_inv.row(cf.offsets[j] + m - 1)
         phi_rows.append(RationalMatrix([lam], E.dim) @ g.matrix)
     phi = RationalMatrix.vstack(phi_rows)  # blocks x dim(src)
-    # Extend each functional along the mono: psi @ mono = phi.
-    monoT = mono.matrix.transpose()
-    psiT = solve_matrix(monoT, phi.transpose())
+    # Extend each functional along f: psi @ f = phi.
+    fT = f.matrix.transpose()
+    psiT = solve_matrix(fT, phi.transpose())
     if psiT is NoSolution:
         raise ConstructionFailure("functional extension system is inconsistent")
     psi = psiT.transpose()
     if rng is not None:
-        null = kernel_basis(monoT)
+        null = kernel_basis(fT)
         if null.ncols:
             shift = RationalMatrix(
                 [
@@ -621,26 +625,7 @@ def extend_along_mono(
         for t in range(m):
             rows[cf.offsets[j] + m - 1 - t] = list((psi_j @ powers[t]).row(0))
     h = ModuleMap(C, E, cf.P @ RationalMatrix(rows, C.dim))
-    if h.matrix @ mono.matrix != g.matrix:
+    if h.matrix @ f.matrix != g.matrix:
         raise ConstructionFailure("extension does not restrict to the given map")
     return h
 
-
-def extend_over(
-    d: ModuleMap,
-    r: RationalMatrix,
-    target: LambdaModule,
-    rng: Optional[random.Random] = None,
-) -> ModuleMap:
-    """h: d.dst -> target with h o d = r, for an injective target and an
-    r that vanishes on ker d.
-
-    r descends to the image of d through preimages of the image basis,
-    and that map extends along the image inclusion.
-    """
-    fact = image_factorization(d)
-    preimages = solve_matrix(d.matrix, fact.inclusion.matrix)
-    if preimages is NoSolution:
-        raise ConstructionFailure("image basis has no preimages")
-    q = ModuleMap(fact.module, target, r @ preimages)
-    return extend_along_mono(fact.inclusion, q, rng)

@@ -8,8 +8,11 @@ each time they are produced, not trusted.
 
 Over k[x]/(x^m) the injectives are exactly the free modules, so
 resolutions are built by repeatedly embedding a cokernel into a free
-module, and comparison lifts reduce to extension problems along
-monomorphisms into free modules.
+module.  Everything else is one extension problem into a free module,
+along any map whose kernel the given map kills: comparison lifts extend
+along the source differentials, and the horseshoe filler is a ladder
+of such extensions that fills the off-diagonal blocks of the middle
+differential.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .modules import (
     direct_sum,
     embed_into_injective,
     extend_along_mono,
-    extend_over,
     image_factorization,
     is_injective,
 )
@@ -205,27 +207,44 @@ def truncated_shift(J: Resolution, splitting: ResolutionSplitting, i: int) -> Re
 
 
 # ---------------------------------------------------------------------------
-# Horseshoe filler.
-
-def _split_sequence(
-    sub: ModuleComplex, mid: ModuleComplex, quot: ModuleComplex, sums: list
-) -> SesOfComplexes:
-    """0 -> sub -> mid -> quot -> 0 for a middle complex whose degree-p
-    object is sums[p], the direct sum of sub^p and quot^p."""
-    return SesOfComplexes(
-        ChainMap(sub, mid, [s.include_left.matrix for s in sums]),
-        ChainMap(mid, quot, [s.project_right.matrix for s in sums]),
-    )
-
+# Twisted direct sums: the horseshoe filler and the two-term cylinder.
 
 @dataclass(frozen=True)
-class Horseshoe:
-    """A resolution of the middle of a short exact sequence, fitted so
-    that the degreewise-split sequence of complexes extends the given
-    one."""
+class TwistedSum:
+    """A resolution whose degree-p object is sub^p (+) quot^p, with the
+    degreewise-split sequence 0 -> sub -> resolution -> quot -> 0."""
 
     resolution: Resolution
     ses: SesOfComplexes
+
+
+def _glue(
+    base: LambdaModule,
+    aug: RationalMatrix,
+    sub: ModuleComplex,
+    quot: ModuleComplex,
+    thetas: list,
+) -> TwistedSum:
+    """The twisted direct sum of sub and quot, augmented from base by aug:
+    degree p is sub^p (+) quot^p with differential [[d_sub, theta^p],
+    [0, d_quot]].  The Resolution constructor re-checks d o d = 0 and
+    augmented exactness, the chain maps re-check the split squares and
+    the sequence of complexes re-checks degreewise exactness."""
+    sums = [direct_sum(A, B) for A, B in zip(sub.objects, quot.objects)]
+    objects = [s.module for s in sums]
+    differentials = []
+    for p, (dA, theta, dB) in enumerate(zip(sub.differentials, thetas, quot.differentials)):
+        zero = RationalMatrix.zeros(dB.dst.dim, dA.src.dim)
+        block = RationalMatrix.block([[dA.matrix, theta], [zero, dB.matrix]])
+        differentials.append(ModuleMap(objects[p], objects[p + 1], block))
+    resolution = Resolution(
+        base, ModuleMap(base, objects[0], aug), ModuleComplex(objects, differentials)
+    )
+    ses = SesOfComplexes(
+        ChainMap(sub, resolution.complex, [s.include_left.matrix for s in sums]),
+        ChainMap(resolution.complex, quot, [s.project_right.matrix for s in sums]),
+    )
+    return TwistedSum(resolution, ses)
 
 
 def horseshoe(
@@ -233,73 +252,33 @@ def horseshoe(
     sub_resolution: Resolution,
     quot_resolution: Resolution,
     rng: Optional[random.Random] = None,
-) -> Horseshoe:
+) -> TwistedSum:
     """Fill the middle column over resolutions of the outer terms.
 
-    Degree by degree: extend the sub augmentation over the middle
-    along the mono (this is where rng varies the outcome), pair it
-    with the quotient augmentation, and pass to cokernels.  The
-    outer cokernel embeddings are the factored differentials of the
-    given resolutions, so the middle complex built this way has the
-    block differentials of the direct sums, and its exactness is
-    re-validated by the Resolution constructor.
+    The middle differential is [[d_A, theta^p], [0, d_B]], and
+    d o d = 0 makes each theta an extension problem into an injective:
+    t extends e_A along iota and augments the middle by (t, e_B o pi);
+    theta^0 extends -d_A^0 o t along e_B o pi, and theta^p extends
+    -d_A^p o theta^(p-1) along d_B^(p-1).  Each right-hand side kills
+    the kernel it must, by exactness of the outer resolutions.  rng
+    varies every extension; the connecting maps do not depend on it.
     """
     if sub_resolution.base != E.sub or quot_resolution.base != E.quot:
         raise ValueError("resolutions do not match the sequence ends")
     h = min(sub_resolution.horizon, quot_resolution.horizon)
     RA = sub_resolution.truncate(h)
     RB = quot_resolution.truncate(h)
-    iota, pi = E.a_to_c, E.c_to_b
-    eA, eB = RA.augmentation, RB.augmentation
-    middle = E.mid
-    objects = []
-    differentials = []
-    sums = []
-    aug = None
-    prev_projection = None
-    for p in range(h + 1):
-        ds = direct_sum(RA.objects[p], RB.objects[p])
-        sums.append(ds)
-        objects.append(ds.module)
-        t = extend_along_mono(iota, eA, rng)
-        aug_matrix = RationalMatrix.vstack([t.matrix, eB.matrix @ pi.matrix])
-        aug_p = ModuleMap(middle, ds.module, aug_matrix)
-        if p == 0:
-            aug = aug_p
-        else:
-            differentials.append(
-                ModuleMap(objects[p - 1], ds.module, aug_matrix @ prev_projection.matrix)
-            )
-        if p == h:
-            break
-        cok_sub = cokernel_module(eA)
-        cok_mid = cokernel_module(aug_p)
-        cok_quot = cokernel_module(eB)
-        reps_sub = cok_sub.presentation.representative_basis
-        reps_mid = cok_mid.presentation.representative_basis
-        eA = ModuleMap(
-            cok_sub.module, RA.objects[p + 1], RA.differential(p).matrix @ reps_sub
-        )
-        eB = ModuleMap(
-            cok_quot.module,
-            RB.objects[p + 1],
-            RB.differential(p).matrix @ cok_quot.presentation.representative_basis,
-        )
-        iota = ModuleMap(
-            cok_sub.module,
-            cok_mid.module,
-            cok_mid.projection.matrix @ (ds.include_left.matrix @ reps_sub),
-        )
-        pi = ModuleMap(
-            cok_mid.module,
-            cok_quot.module,
-            cok_quot.projection.matrix @ (ds.project_right.matrix @ reps_mid),
-        )
-        SesModules(iota, pi)  # the induced sequence of cokernels must stay exact
-        prev_projection = cok_mid.projection
-        middle = cok_mid.module
-    filled = Resolution(E.mid, aug, ModuleComplex(objects, differentials))
-    return Horseshoe(filled, _split_sequence(RA.complex, filled.complex, RB.complex, sums))
+    t = extend_along_mono(E.a_to_c, RA.augmentation, rng)
+    along = compose(RB.augmentation, E.c_to_b)
+    aug = RationalMatrix.vstack([t.matrix, along.matrix])
+    thetas = []
+    prev = t.matrix
+    for p in range(h):
+        rhs = ModuleMap(along.src, RA.objects[p + 1], -(RA.differential(p).matrix @ prev))
+        prev = extend_along_mono(along, rhs, rng).matrix
+        thetas.append(prev)
+        along = RB.differential(p)
+    return _glue(E.mid, aug, RA.complex, RB.complex, thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +293,11 @@ def lift_resolution_map(
     """Lift a map of bases to a chain map of resolutions.
 
     Degree zero extends (dst augmentation) o phi along the source
-    augmentation; each later degree factors the running composite
-    through the image of the source differential and extends again.
-    The target resolution must be degreewise injective.  Any rng
-    variation stays within chain maps of the same homotopy class.
+    augmentation; each later degree extends d_T o (the previous
+    component) along the source differential, whose kernel it kills
+    by exactness.  The target resolution must be degreewise injective.
+    Any rng variation stays within chain maps of the same homotopy
+    class.
     """
     if phi.src != src_resolution.base or phi.dst != dst_resolution.base:
         raise ValueError("map endpoints do not match the resolutions")
@@ -328,32 +308,21 @@ def lift_resolution_map(
         extend_along_mono(RS.augmentation, compose(RT.augmentation, phi), rng).matrix
     ]
     for p in range(h):
-        w = RT.differential(p).matrix @ components[p]
-        components.append(extend_over(RS.differential(p), w, RT.objects[p + 1], rng).matrix)
+        w = ModuleMap(RS.objects[p], RT.objects[p + 1], RT.differential(p).matrix @ components[p])
+        components.append(extend_along_mono(RS.differential(p), w, rng).matrix)
     return ChainMap(RS.complex, RT.complex, components)
 
 
 # ---------------------------------------------------------------------------
 # The two-term cylinder resolution of a cycle object.
 
-@dataclass(frozen=True)
-class Cylinder:
-    """Resolution of J^i by direct sums of two consecutive levels of J,
-    with the sign-twisted block differential, sitting between two
-    shifted tails of J."""
-
-    resolution: Resolution
-    ses: SesOfComplexes
-
-
-def cylinder_resolution(J: Resolution, splitting: ResolutionSplitting, i: int) -> Cylinder:
+def cylinder_resolution(J: Resolution, splitting: ResolutionSplitting, i: int) -> TwistedSum:
     """L^p = J^(i+p) (+) J^(i+p+1) with differential blocks
-    [[d, (-1)^(p+1) id], [0, d]], augmented by (id, d^i) from J^i.
+    [[d, (-1)^(p+1) id], [0, d]], augmented by (id, d^i) from J^i,
+    between the two shifted tails of J.
 
-    The sign alternates so that the squares close; the Resolution
-    constructor re-checks d o d = 0 and augmented exactness, and the
-    surrounding short exact sequence of complexes has the shifted
-    tails of J on both sides.
+    The sign alternates so that the squares close; _glue re-checks
+    d o d = 0, augmented exactness and the surrounding sequence.
     """
     if splitting.resolution is not J:
         raise ValueError("splitting belongs to a different resolution")
@@ -362,38 +331,18 @@ def cylinder_resolution(J: Resolution, splitting: ResolutionSplitting, i: int) -
     h = J.horizon - i - 1
     if h < 0:
         raise ValueError("resolution too short for a cylinder at this index")
-    sums = [
-        direct_sum(J.objects[i + p], J.objects[i + p + 1]) for p in range(h + 1)
-    ]
-    objects = [s.module for s in sums]
-    differentials = []
-    for p in range(h):
-        sign = Rat(-1) if p % 2 == 0 else Rat(1)
-        top_dim = J.objects[i + p].dim
-        mid_dim = J.objects[i + p + 1].dim
-        block = RationalMatrix.block(
-            [
-                [
-                    J.differential(i + p).matrix,
-                    sign * RationalMatrix.identity(mid_dim),
-                ],
-                [
-                    RationalMatrix.zeros(J.objects[i + p + 2].dim, top_dim),
-                    J.differential(i + p + 1).matrix,
-                ],
-            ]
-        )
-        differentials.append(ModuleMap(objects[p], objects[p + 1], block))
-    aug_matrix = RationalMatrix.vstack(
-        [RationalMatrix.identity(J.objects[i].dim), J.differential(i).matrix]
-    )
-    aug = ModuleMap(J.objects[i], objects[0], aug_matrix)
-    resolution = Resolution(J.objects[i], aug, ModuleComplex(objects, differentials))
     head = ModuleComplex(J.objects[i : i + h + 1], J.complex.differentials[i : i + h])
     tail = ModuleComplex(
         J.objects[i + 1 : i + h + 2], J.complex.differentials[i + 1 : i + h + 1]
     )
-    return Cylinder(resolution, _split_sequence(head, resolution.complex, tail, sums))
+    thetas = [
+        Rat((-1) ** (p + 1)) * RationalMatrix.identity(J.objects[i + p + 1].dim)
+        for p in range(h)
+    ]
+    aug = RationalMatrix.vstack(
+        [RationalMatrix.identity(J.objects[i].dim), J.differential(i).matrix]
+    )
+    return _glue(J.objects[i], aug, head, tail, thetas)
 
 
 # ---------------------------------------------------------------------------

@@ -87,3 +87,38 @@ def is_exact_at(prev_matrix, next_matrix):
         return False
     dim_v = next_matrix.ncols
     return matrix_rank(prev_matrix) == dim_v - matrix_rank(next_matrix)
+
+
+def block_sizes(M):
+    """Sizes of the cyclic blocks k[x]/x^j of M, from ranks alone.
+
+    rank X^(j-1) - rank X^j blocks have size at least j, so the count of
+    size exactly j is the difference of two such counts.
+    """
+    X = frac_rows(M.X)
+    n = len(X)
+    power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    ranks = [n]
+    while ranks[-1]:
+        power = [
+            [sum(X[i][k] * power[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        ranks.append(gauss_rank(power))
+    at_least = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))] + [0]
+    sizes = []
+    for j in range(1, len(at_least)):
+        sizes += [j] * (at_least[j - 1] - at_least[j])
+    return sizes
+
+
+def ext_dim(A, M, m, n):
+    """dim Ext^n(A, M) over k[x]/(x^m) in closed form, summed over pairs
+    of blocks: min(a, b) for Hom(k[x]/x^a, k[x]/x^b), and
+    min(a, b, m - a, m - b) for every n >= 1 (the resolutions are
+    2-periodic)."""
+    return sum(
+        min(a, b) if n == 0 else min(a, b, m - a, m - b)
+        for a in block_sizes(A)
+        for b in block_sizes(M)
+    )

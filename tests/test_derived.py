@@ -20,6 +20,8 @@ from dimshift.modules import (
     apply_F_map,
     apply_F_object,
     cokernel_module,
+    cyclic_module,
+    direct_sum,
     embed_into_injective,
     free_module,
     hom_basis,
@@ -59,6 +61,8 @@ from dimshift.harness import (
     gen_random_module,
     gen_random_ses,
 )
+
+from oracle import block_sizes, ext_dim
 
 
 def standard_ses(k):
@@ -107,6 +111,28 @@ def test_free_source_functors_have_no_higher_derived_values(registry):
         value = derived_functor(F, Mod, 3, registry)
         assert value.dim(0) == Mod.dim
         assert all(value.dim(i) == 0 for i in range(1, 3))
+
+
+def test_block_sizes_oracle_on_cyclic_sums():
+    cfg = GeneratorConfig(seed=0, m=4)
+    for sizes in ([1], [4], [2, 3, 1], [4, 4, 2]):
+        M = cyclic_module(cfg.algebra, sizes[0])
+        for size in sizes[1:]:
+            M = direct_sum(M, cyclic_module(cfg.algebra, size)).module
+        assert sorted(block_sizes(M)) == sorted(sizes)
+
+
+def test_derived_functor_matches_the_closed_form():
+    rng = random.Random(76)
+    for m in (2, 3, 4):
+        cfg = GeneratorConfig(seed=0, m=m, max_dim=6)
+        registry = ResolutionRegistry()
+        for _ in range(4):
+            F = gen_random_functor(cfg, rng)
+            Mod = gen_random_module(cfg, rng)
+            value = derived_functor(F, Mod, 5, registry)
+            for n in range(5):
+                assert value.dim(n) == ext_dim(F.source, Mod, m, n)
 
 
 # -- the comparison isomorphism ----------------------------------------------

@@ -272,6 +272,9 @@ def test_cli_bad_flag_values_exit_2_with_one_line(argv, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert "Traceback" not in captured.err
+    # The line names the rejected flag as it was typed.
+    command, flag = argv[:2]
+    assert captured.err.startswith(f"{command}: {flag} ")
 
 
 def test_cli_bad_m_gives_one_message_for_every_command(capsys):

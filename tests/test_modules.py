@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from dimshift.linalg import RationalMatrix, rank, rat
+from dimshift.linalg import RationalMatrix, kernel_basis, rank, rat
 from dimshift.modules import (
+    ConstructionFailure,
     FunctorSpec,
     LambdaModule,
     ModuleMap,
@@ -277,6 +278,27 @@ def test_extension_along_monomorphisms():
         for variation in (None, rng):
             h = extend_along_mono(mono, g, variation)
             assert h.matrix @ mono.matrix == g.matrix
+
+
+def test_extension_along_a_non_injective_differential(registry):
+    rng = random.Random(31)
+    cfg = GeneratorConfig(seed=0, m=3, max_dim=5)
+    stray_seen = 0
+    for _ in range(10):
+        R = registry.resolution(gen_random_module(cfg, rng), 1)
+        d = R.differential(0)  # ker d is the image of the base, never zero
+        E = free_module(cfg.algebra, rng.randint(1, 2))
+        r = compose(gen_random_map(d.dst, E, rng), d)  # kills ker d
+        for variation in (None, rng):
+            h = extend_along_mono(d, r, variation)
+            assert h.matrix @ d.matrix == r.matrix
+        stray = gen_random_map(d.src, E, rng)
+        if (stray.matrix @ kernel_basis(d.matrix)).is_zero():
+            continue
+        stray_seen += 1
+        with pytest.raises(ConstructionFailure):
+            extend_along_mono(d, stray)
+    assert stray_seen
 
 
 def test_extension_into_the_zero_module(alg2, k2):

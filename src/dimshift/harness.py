@@ -83,16 +83,16 @@ class GeneratorConfig:
         return TruncatedAlgebra(self.m)
 
 
-def _random_invertible(dim: int, rng: random.Random) -> RationalMatrix:
+def _random_invertible(dim: int, rng: random.Random) -> tuple:
+    """A random small-entry invertible matrix and its inverse."""
     for _ in range(_ATTEMPTS):
         P = RationalMatrix(
             [[rat(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)], dim
         )
         try:
-            inverse(P)
+            return P, inverse(P)
         except ValueError:
             continue
-        return P
     raise ConstructionFailure(f"no invertible draw in {_ATTEMPTS} attempts")
 
 
@@ -112,8 +112,8 @@ def gen_random_module(
         left -= s
     X0 = _shift_blocks(sizes, dim)
     for _ in range(_ATTEMPTS):
-        P = _random_invertible(dim, rng)
-        X = P @ (X0 @ inverse(P))
+        P, P_inv = _random_invertible(dim, rng)
+        X = P @ (X0 @ P_inv)
         if X.max_bit_length() <= _ENTRY_BIT_CAP:
             return LambdaModule(cfg.algebra, X)
     raise ConstructionFailure(f"no conjugate under the bit cap in {_ATTEMPTS} attempts")

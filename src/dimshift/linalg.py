@@ -1,10 +1,16 @@
 """Exact linear algebra over the rationals.
 
-All arithmetic uses gmpy2.mpq, with fractions.Fraction as the fallback
-that runs when gmpy2 is missing.  Both keep every value reduced with a
+All arithmetic uses gmpy2.mpq when the optional gmpy2 is installed,
+and fractions.Fraction otherwise.  Both keep every value reduced with a
 positive denominator; there is no tolerance parameter anywhere.
 Matrices are immutable and act on column vectors, so composition reads
 right to left: (A @ B)(v) = A(B(v)).
+
+The trust boundary is this module.  The public constructors
+(RationalMatrix(...), from_columns, column_vector) coerce every entry
+to Rat and reject ragged rows.  Every matrix this module derives from
+existing matrices or from Rat arithmetic is built by the private
+RationalMatrix._of, which coerces nothing.
 
 Subspaces carry a canonical basis in reduced column echelon form: the
 topmost nonzero entry of each basis column is 1, those pivot rows are
@@ -19,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional "fast" extra
     from fractions import Fraction as Rat
 
 ZERO = Rat(0)
@@ -56,7 +62,7 @@ class WellDefinednessFailure(Exception):
 class RationalMatrix:
     """Immutable matrix of Rat entries, acting on column vectors."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "rows", "_hash")
 
     def __init__(self, rows: Iterable[Iterable], ncols: Optional[int] = None):
         rows = tuple(tuple(rat(x) for x in row) for row in rows)
@@ -72,14 +78,27 @@ class RationalMatrix:
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = ncols
+        self._hash = None
+
+    @classmethod
+    def _of(cls, rows: Iterable[Sequence], ncols: int) -> "RationalMatrix":
+        """Trusted construction from rows of Rat entries, each ncols
+        wide.  Nothing is coerced or checked, so only this module calls
+        it, on entries that are already Rat."""
+        M = object.__new__(cls)
+        M.rows = tuple(map(tuple, rows))
+        M.nrows = len(M.rows)
+        M.ncols = ncols
+        M._hash = None
+        return M
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[ZERO] * ncols for _ in range(nrows)], ncols)
+        return cls._of(((ZERO,) * ncols,) * nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
+        return cls._of(
             [[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n
         )
 
@@ -100,7 +119,7 @@ class RationalMatrix:
         nrows = mats[0].nrows
         if any(m.nrows != nrows for m in mats):
             raise ValueError("hstack: row counts differ")
-        return cls(
+        return cls._of(
             [sum((m.rows[i] for m in mats), ()) for i in range(nrows)],
             sum(m.ncols for m in mats),
         )
@@ -112,7 +131,7 @@ class RationalMatrix:
         ncols = mats[0].ncols
         if any(m.ncols != ncols for m in mats):
             raise ValueError("vstack: column counts differ")
-        return cls([row for m in mats for row in m.rows], ncols)
+        return cls._of([row for m in mats for row in m.rows], ncols)
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["RationalMatrix"]]) -> "RationalMatrix":
@@ -129,7 +148,7 @@ class RationalMatrix:
             right = ncols - left - m.ncols
             rows.extend([ZERO] * left + list(row) + [ZERO] * right for row in m.rows)
             left += m.ncols
-        return cls(rows, ncols)
+        return cls._of(rows, ncols)
 
     def entry(self, i: int, j: int) -> Rat:
         return self.rows[i][j]
@@ -144,10 +163,9 @@ class RationalMatrix:
         return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
+        if not self.rows:
+            return RationalMatrix.zeros(self.ncols, 0)
+        return RationalMatrix._of(zip(*self.rows), self.nrows)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix times column vector, returned as a tuple."""
@@ -174,7 +192,7 @@ class RationalMatrix:
             for k, a in enumerate(row):
                 if a:
                     ok = orows[k]
-                    if a == ONE:
+                    if a is ONE or a == ONE:
                         for j, b in enumerate(ok):
                             if b:
                                 acc[j] += b
@@ -183,11 +201,11 @@ class RationalMatrix:
                             if b:
                                 acc[j] += a * b
             out.append(acc)
-        return RationalMatrix(out, other.ncols)
+        return RationalMatrix._of(out, other.ncols)
 
     def __mul__(self, scalar) -> "RationalMatrix":
         s = rat(scalar)
-        return RationalMatrix(
+        return RationalMatrix._of(
             [[s * x for x in row] for row in self.rows], self.ncols
         )
 
@@ -196,7 +214,7 @@ class RationalMatrix:
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return RationalMatrix(
+        return RationalMatrix._of(
             [
                 [a + b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.rows, other.rows)
@@ -208,7 +226,7 @@ class RationalMatrix:
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-x for x in row] for row in self.rows], self.ncols)
+        return RationalMatrix._of([[-x for x in row] for row in self.rows], self.ncols)
 
     def is_zero(self) -> bool:
         return all(not x for row in self.rows for x in row)
@@ -221,7 +239,11 @@ class RationalMatrix:
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        # Memo keys hash the same matrix many times; compute it once.
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.nrows, self.ncols, self.rows))
+        return h
 
     def __repr__(self):
         return f"RationalMatrix({[[str(x) for x in row] for row in self.rows]})"
@@ -288,7 +310,7 @@ def rref(M: RationalMatrix) -> tuple:
     """Reduced row echelon form of M and its pivot column indices."""
     rows = _mutable(M)
     pivots = _rref(rows, M.ncols)
-    return RationalMatrix(rows, M.ncols), tuple(pivots)
+    return RationalMatrix._of(rows, M.ncols), tuple(pivots)
 
 
 def rank(M: RationalMatrix) -> int:
@@ -304,8 +326,7 @@ def rcef(M: RationalMatrix) -> tuple:
     zero in the other columns.  Zero columns are dropped.
     """
     R, pivots = rref(M.transpose())
-    cols = [R.row(i) for i in range(len(pivots))]
-    return RationalMatrix.from_columns(cols, M.nrows), pivots
+    return RationalMatrix._of(R.rows[: len(pivots)], M.nrows).transpose(), pivots
 
 
 def image_basis(M: RationalMatrix) -> RationalMatrix:
@@ -327,7 +348,7 @@ def kernel_basis(M: RationalMatrix) -> RationalMatrix:
             if rows[i][j]:
                 v[p] = -rows[i][j]
         vecs.append(v)
-    raw = RationalMatrix.from_columns(vecs, M.ncols)
+    raw = RationalMatrix._of(vecs, M.ncols).transpose()
     # Canonicalize so kernel bases compare like any other subspace basis.
     return rcef(raw)[0] if vecs else RationalMatrix.zeros(M.ncols, 0)
 
@@ -350,7 +371,7 @@ def solve_matrix(M: RationalMatrix, B: RationalMatrix):
         row = aug[i]
         for j in range(B.ncols):
             out[p][j] = row[M.ncols + j]
-    return RationalMatrix(out, B.ncols)
+    return RationalMatrix._of(out, B.ncols)
 
 
 def solve(M: RationalMatrix, b: Sequence):
@@ -428,7 +449,7 @@ class Subspace:
         """Coordinates of every column at once, or NoSolution if any escapes."""
         if M.nrows != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        coords = RationalMatrix([list(M.row(p)) for p in self.pivot_rows], M.ncols)
+        coords = RationalMatrix._of([M.rows[p] for p in self.pivot_rows], M.ncols)
         if (M - self.basis @ coords).is_zero():
             return coords
         return NoSolution
@@ -517,7 +538,7 @@ def quotient(ambient_dim: int, denominator: Subspace) -> QuotientPresentation:
         raise ValueError("denominator lives in the wrong space")
     pivot_set = set(denominator.pivot_rows)
     free_rows = [i for i in range(ambient_dim) if i not in pivot_set]
-    reps = RationalMatrix(
+    reps = RationalMatrix._of(
         [
             [ONE if i == j else ZERO for j in free_rows]
             for i in range(ambient_dim)
@@ -531,7 +552,7 @@ def quotient(ambient_dim: int, denominator: Subspace) -> QuotientPresentation:
         # v = W a + R b uniquely; the reduction reads off b.
         B = RationalMatrix.hstack([denominator.basis, reps])
         Binv = inverse(B)
-        reduction = RationalMatrix(Binv.rows[w:], ambient_dim)
+        reduction = RationalMatrix._of(Binv.rows[w:], ambient_dim)
     return QuotientPresentation(ambient_dim, denominator, reps, reduction)
 
 

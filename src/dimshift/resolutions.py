@@ -18,7 +18,6 @@ differential.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -133,14 +132,12 @@ class ResolutionRegistry:
 
     def __init__(self):
         self._store: dict = {}
-        self._lock = threading.Lock()
 
     def resolution(self, M: LambdaModule, horizon: int) -> Resolution:
-        with self._lock:
-            cached = self._store.get(M)
-            if cached is None or cached.horizon < horizon:
-                cached = injective_resolution(M, horizon)
-                self._store[M] = cached
+        cached = self._store.get(M)
+        if cached is None or cached.horizon < horizon:
+            cached = injective_resolution(M, horizon)
+            self._store[M] = cached
         if cached.horizon > horizon:
             return cached.truncate(horizon)
         return cached

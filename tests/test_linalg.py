@@ -1,6 +1,7 @@
 """Exact linear algebra: frozen examples, oracle cross-checks, laws."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,8 @@ from dimshift.linalg import (
     quotient,
     rank,
     rat,
+    rcef,
+    rref,
     solve,
     solve_matrix,
 )
@@ -252,3 +255,129 @@ def test_block_diagonal_places_blocks_and_empty_blocks():
     assert (empty.nrows, empty.ncols) == (0, 0)
     only_columns = RationalMatrix.block_diagonal([wide, RationalMatrix.zeros(0, 1)])
     assert (only_columns.nrows, only_columns.ncols) == (0, 3)
+
+
+# -- trust boundary ----------------------------------------------------------
+# Matrices derived inside linalg skip coercion, so every entry they hold
+# must already be a Rat; the public constructors must still coerce.
+
+entries = st.one_of(
+    small_entry, st.fractions(min_value=-4, max_value=4, max_denominator=5)
+)
+
+
+def public_matrix(draw, nrows, ncols):
+    rows = draw(
+        st.lists(
+            st.lists(entries, min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+    return RationalMatrix(rows, ncols)
+
+
+@st.composite
+def operands(draw):
+    """A (r x k), B (k x c), C (r x k) and a scalar, with empty shapes."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    return (
+        public_matrix(draw, r, k),
+        public_matrix(draw, k, c),
+        public_matrix(draw, r, k),
+        draw(entries),
+    )
+
+
+def derived_matrices(A, B, C, s):
+    S = Subspace.from_columns(A)
+    Q = quotient(A.nrows, S)
+    G = A.transpose() @ A + RationalMatrix.identity(A.ncols)  # invertible
+    return {
+        "matmul": A @ B,
+        "mul": A * s,
+        "rmul": s * A,
+        "add": A + C,
+        "sub": A - C,
+        "neg": -A,
+        "transpose": A.transpose(),
+        "zeros": RationalMatrix.zeros(A.nrows, A.ncols),
+        "identity": RationalMatrix.identity(A.ncols),
+        "hstack": RationalMatrix.hstack([A, C]),
+        "vstack": RationalMatrix.vstack([A, C]),
+        "block": RationalMatrix.block([[A, C], [C, A]]),
+        "block_diagonal": RationalMatrix.block_diagonal([A, B]),
+        "rref": rref(A)[0],
+        "rcef": rcef(A)[0],
+        "kernel_basis": kernel_basis(A),
+        "solve_matrix": solve_matrix(A, A @ B),
+        "inverse": inverse(G),
+        "express_columns": S.express_columns(A),
+        "quotient_representatives": Q.representative_basis,
+        "quotient_reduction": Q.reduction_map,
+    }
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(operands())
+def test_derived_matrices_hold_only_rats(ops):
+    for name, R in derived_matrices(*ops).items():
+        assert type(R.rows) is tuple, name
+        assert len(R.rows) == R.nrows, name
+        for row in R.rows:
+            assert type(row) is tuple and len(row) == R.ncols, name
+            assert all(type(x) is Rat for x in row), name
+        expected = hash((R.nrows, R.ncols, R.rows))
+        assert hash(R) == expected, name  # computed
+        assert hash(R) == expected, name  # read back from the slot
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(operands())
+def test_equal_matrices_from_different_paths_hash_equal(ops):
+    A, B, C, s = ops
+    reparsed = RationalMatrix([[str(x) for x in row] for row in A.rows], A.ncols)
+    same = [
+        A @ RationalMatrix.identity(A.ncols),
+        RationalMatrix.identity(A.nrows) @ A,
+        A + RationalMatrix.zeros(A.nrows, A.ncols),
+        -(-A),
+        A.transpose().transpose(),
+        reparsed,
+    ]
+    for X in same:
+        assert X == A
+        assert hash(X) == hash(A)
+    if A.nrows and A.ncols and not A.is_zero():
+        assert A + A != A
+
+
+# Each entry as the caller may give it: an int, a string such as "3/4",
+# or a Fraction.
+given_entries = st.one_of(small_entry, entries.map(str), entries.map(Fraction))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(
+    lambda c: st.lists(
+        st.lists(given_entries, min_size=c, max_size=c), min_size=1, max_size=4
+    )
+))
+def test_the_public_constructors_coerce_every_entry(rows):
+    ncols = len(rows[0])
+    A = RationalMatrix(rows, ncols)
+    assert A.rows == tuple(tuple(Fraction(x) for x in row) for row in rows)
+    assert all(type(x) is Rat for row in A.rows for x in row)
+    columns = [[row[j] for row in rows] for j in range(ncols)]
+    assert RationalMatrix.from_columns(columns, len(rows)) == A
+    v = RationalMatrix.column_vector(columns[0])
+    assert all(type(x) is Rat for (x,) in v.rows)
+
+
+def test_the_public_constructor_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        RationalMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        RationalMatrix([[1, 2]], 3)
+    with pytest.raises(ValueError):
+        RationalMatrix([])

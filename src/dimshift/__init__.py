@@ -96,6 +96,7 @@ from .derived import (
     NotEpic,
     SignReport,
     StepSignReport,
+    chase_connecting,
     comparison_iso,
     derived_connecting,
     derived_connecting_deg0,

@@ -122,9 +122,6 @@ def _emit_report(report: RunReport, args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    if args.n < 1:
-        print("demo needs --n at least 1", file=sys.stderr)
-        return 2
     report = run_demo(args.m, args.n)
     for row in report.trials:
         print(
@@ -156,9 +153,6 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_sign_table(args) -> int:
-    if args.n < 1:
-        print("sign-table needs --n at least 1", file=sys.stderr)
-        return 2
     print(" ".join(f"{sign_factor(n):+d}" for n in range(1, args.n + 1)))
     return 0
 
@@ -194,6 +188,8 @@ def _cmd_dump(args) -> int:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command in ("demo", "sign-table") and args.n < 1:
+            raise ConfigError("n", "must be at least 1")
         if args.command == "demo":
             GeneratorConfig(m=args.m)  # the same --m check as the suites'
         elif args.command != "sign-table":

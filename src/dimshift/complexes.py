@@ -144,6 +144,13 @@ class ModuleComplex:
         return f"ModuleComplex(dims={[M.dim for M in self.objects]})"
 
 
+def _matrices(C) -> tuple:
+    """The differentials of either kind of complex as plain matrices."""
+    if isinstance(C, ModuleComplex):
+        return tuple(d.matrix for d in C.differentials)
+    return C.differentials
+
+
 class ChainMap:
     """Degreewise map of complexes commuting with the differentials.
 
@@ -161,19 +168,12 @@ class ChainMap:
         components = tuple(components)
         if len(components) != src.horizon + 1:
             raise ValueError("need one component per degree")
-        module_level = isinstance(src, ModuleComplex)
         for p, comp in enumerate(components):
-            if module_level:
+            if isinstance(src, ModuleComplex):
                 ModuleMap(src.objects[p], dst.objects[p], comp)  # validates
-            else:
-                if (comp.nrows, comp.ncols) != (dst.dims[p], src.dims[p]):
-                    raise ValueError(f"component {p} has the wrong shape")
-        src_diffs = (
-            [d.matrix for d in src.differentials] if module_level else src.differentials
-        )
-        dst_diffs = (
-            [d.matrix for d in dst.differentials] if module_level else dst.differentials
-        )
+            elif (comp.nrows, comp.ncols) != (dst.dims[p], src.dims[p]):
+                raise ValueError(f"component {p} has the wrong shape")
+        src_diffs, dst_diffs = _matrices(src), _matrices(dst)
         for p in range(src.horizon):
             if components[p + 1] @ src_diffs[p] != dst_diffs[p] @ components[p]:
                 raise ValueError(f"square at degree {p} does not commute")
@@ -325,9 +325,7 @@ class CohomologyPresentation:
         return (
             isinstance(other, CohomologyPresentation)
             and self.degree == other.degree
-            and self.ambient_dim == other.ambient_dim
-            and self.cocycles == other.cocycles
-            and self.presentation == other.presentation
+            and self.same_presentation(other)
         )
 
     def __hash__(self):
@@ -500,17 +498,23 @@ def find_homotopy(f: ChainMap, g: ChainMap, rng: Optional[random.Random] = None)
     if f.src != g.src or f.dst != g.dst:
         raise ValueError("chain maps with different endpoints")
     e = f - g
-    module_level = f.is_module_level()
-    if module_level:
-        return _find_homotopy_modules(e, rng)
     src, dst = f.src, f.dst
-    h = [RationalMatrix.zeros(0, src.dims[0])]
+    src_d, dst_d = _matrices(src), _matrices(dst)
+    h = [RationalMatrix.zeros(0, e.components[0].ncols)]
     for p in range(src.horizon):
-        if p == 0:
-            r = e.components[0]
-        else:
-            r = e.components[p] - dst.differentials[p - 1] @ h[p]
-        dT = src.differentials[p].transpose()
+        # Solve h(p+1) o d(p) = r, the part of f - g that d o h(p) leaves.
+        r = e.components[p] - dst_d[p - 1] @ h[p] if p else e.components[0]
+        if f.is_module_level():
+            if not is_injective(dst.objects[p]):
+                raise ChaseFailure(
+                    "module-level homotopy needs injective targets below the horizon"
+                )
+            d = src.differentials[p]
+            if not (r @ kernel_basis(d.matrix)).is_zero():
+                return NotHomotopic
+            h.append(extend_along_mono(d, ModuleMap(d.src, dst.objects[p], r), rng).matrix)
+            continue
+        dT = src_d[p].transpose()
         sol = solve_matrix(dT, r.transpose())
         if sol is NoSolution:
             return NotHomotopic
@@ -523,38 +527,12 @@ def find_homotopy(f: ChainMap, g: ChainMap, rng: Optional[random.Random] = None)
     return h
 
 
-def _find_homotopy_modules(e: ChainMap, rng: Optional[random.Random]):
-    src, dst = e.src, e.dst
-    h = [RationalMatrix.zeros(0, src.objects[0].dim)]
-    for p in range(src.horizon):
-        if not is_injective(dst.objects[p]):
-            raise ChaseFailure(
-                "module-level homotopy needs injective targets below the horizon"
-            )
-        if p == 0:
-            r = e.components[0]
-        else:
-            r = e.components[p] - dst.differentials[p - 1].matrix @ h[p]
-        d = src.differentials[p]
-        if not (r @ kernel_basis(d.matrix)).is_zero():
-            return NotHomotopic
-        h.append(extend_along_mono(d, ModuleMap(d.src, dst.objects[p], r), rng).matrix)
-    return h
-
-
 def homotopy_defect(f: ChainMap, g: ChainMap, h: Sequence[RationalMatrix], degree: int) -> RationalMatrix:
     """(f - g) - (d o h + h o d) in one degree; zero when h works there."""
-    src, dst = f.src, f.dst
-    module_level = f.is_module_level()
-    src_d = (
-        [d.matrix for d in src.differentials] if module_level else src.differentials
-    )
-    dst_d = (
-        [d.matrix for d in dst.differentials] if module_level else dst.differentials
-    )
+    src_d, dst_d = _matrices(f.src), _matrices(f.dst)
     e = f.components[degree] - g.components[degree]
     if degree > 0:
         e = e - dst_d[degree - 1] @ h[degree]
-    if degree < src.horizon:
+    if degree < f.src.horizon:
         e = e - h[degree + 1] @ src_d[degree]
     return e

@@ -145,13 +145,27 @@ def comparison_iso(
 # ---------------------------------------------------------------------------
 # Connecting maps of a short exact sequence of modules.
 
+def chase_connecting(
+    F: FunctorSpec,
+    E: SesModules,
+    sub_resolution: Resolution,
+    quot_resolution: Resolution,
+    p: int,
+    rng: Optional[random.Random] = None,
+) -> RationalMatrix:
+    """H^p F(quot_resolution) -> H^(p+1) F(sub_resolution): fill a
+    horseshoe over the given resolutions, apply F and chase.  Every
+    connecting map of a short exact sequence of modules is built here."""
+    hs = horseshoe(E, sub_resolution, quot_resolution, rng)
+    return snake_delta_matrix(apply_F_ses(F, hs.ses), p, rng)
+
+
 def derived_connecting(
     F: FunctorSpec,
     E: SesModules,
     p: int,
     registry: ResolutionRegistry,
     rng: Optional[random.Random] = None,
-    horizon: Optional[int] = None,
 ) -> RationalMatrix:
     """R^p F(quot) -> R^(p+1) F(sub), via a horseshoe over the registry
     resolutions of the outer terms.
@@ -163,14 +177,9 @@ def derived_connecting(
     """
     if p < 0:
         raise ValueError("connecting degree must be nonnegative")
-    h = horizon if horizon is not None else p + 2
-    if h < p + 2:
-        raise ValueError("horizon too short to present the target honestly")
-    RA = registry.resolution(E.sub, h)
-    RB = registry.resolution(E.quot, h)
-    hs = horseshoe(E, RA, RB, rng)
-    FS = apply_F_ses(F, hs.ses)
-    return snake_delta_matrix(FS, p, rng)
+    RA = registry.resolution(E.sub, p + 2)
+    RB = registry.resolution(E.quot, p + 2)
+    return chase_connecting(F, E, RA, RB, p, rng)
 
 
 @dataclass(frozen=True)
@@ -198,18 +207,15 @@ def derived_connecting_deg0(
     middle term is not F-acyclic and NotEpic is raised, since the
     dimension shift needs this map to be invertible.
     """
-    RA = registry.resolution(E.sub, 2)
+    delta0 = derived_connecting(F, E, 0, registry, rng)
     RB = registry.resolution(E.quot, 2)
-    hs = horseshoe(E, RA, RB, rng)
-    FS = apply_F_ses(F, hs.ses)
-    H0 = cohomology(FS.quot, 0)
+    H0 = cohomology(apply_F_complex(F, RB.complex), 0)
     F_aug = apply_F_map(F, RB.augmentation)
     iota_coords = H0.cocycles.express_columns(F_aug)
     if iota_coords is NoSolution:
         raise ChaseFailure("augmentation image is not made of cocycles")
     if iota_coords.nrows != iota_coords.ncols or rank(iota_coords) != iota_coords.nrows:
         raise ConstructionFailure("F(quot) does not exhaust the degree-zero cocycles")
-    delta0 = snake_delta_matrix(FS, 0, rng)
     unbarred = delta0 @ iota_coords
     F_pi = apply_F_map(F, E.c_to_b)
     if not (unbarred @ F_pi).is_zero():
@@ -219,6 +225,7 @@ def derived_connecting_deg0(
     r = rank(barred)
     if r != Q.dim:
         raise ConstructionFailure("barred connecting map is not injective")
+    RA = registry.resolution(E.sub, 2)
     target_dim = cohomology(apply_F_complex(F, RA.complex), 1).dim
     if r != target_dim:
         raise NotEpic(
@@ -302,16 +309,16 @@ def verify_sign_identity(
     d = dimension_shift_iso(F, M, J, n, registry, rng)
     s = sign_factor(n)
     expected = Rat(s) * c
-    mismatch = None
-    if d != expected:
-        for i in range(d.nrows):
-            for j in range(d.ncols):
-                if d.entry(i, j) != expected.entry(i, j):
-                    mismatch = (i, j, d.entry(i, j), expected.entry(i, j))
-                    break
-            if mismatch:
-                break
-    return SignReport(n, c.nrows, s, c, d, mismatch is None, mismatch)
+    mismatch = next(
+        (
+            (i, j, x, y)
+            for i, (row, expected_row) in enumerate(zip(d.rows, expected.rows))
+            for j, (x, y) in enumerate(zip(row, expected_row))
+            if x != y
+        ),
+        None,
+    )
+    return SignReport(n, c.nrows, s, c, d, d == expected, mismatch)
 
 
 @dataclass(frozen=True)
@@ -346,9 +353,7 @@ def verify_connecting_square(
     RB = quot_resolution or registry.resolution(E.quot, p + 2)
     if min(RA.horizon, RB.horizon) < p + 2:
         raise ValueError("resolutions too short for this degree")
-    hs = horseshoe(E, RA, RB, rng)
-    FS = apply_F_ses(F, hs.ses)
-    delta = snake_delta_matrix(FS, p, rng)
+    delta = chase_connecting(F, E, RA, RB, p, rng)
     c_quot = comparison_iso(F, E.quot, RB, p, registry, rng)
     c_sub = comparison_iso(F, E.sub, RA, p + 1, registry, rng)
     chased = c_sub @ delta

@@ -31,9 +31,10 @@ from .modules import (
     kernel_module,
     simple_module,
 )
-from .complexes import ModuleComplex, apply_F_ses, snake_delta_matrix
-from .resolutions import Resolution, ResolutionRegistry, horseshoe, split_resolution
+from .complexes import ModuleComplex
+from .resolutions import Resolution, ResolutionRegistry, split_resolution
 from .derived import (
+    derived_connecting,
     sign_factor,
     verify_connecting_square,
     verify_shift_step_sign,
@@ -290,14 +291,8 @@ def run_connecting_suite(
         square = verify_connecting_square(F, E, p, registry, RA, RB, rng)
         # Same degree, two more horseshoes over the registry resolutions,
         # fresh random fillings: the chased matrices must coincide.
-        RA0 = registry.resolution(E.sub, p + 2)
-        RB0 = registry.resolution(E.quot, p + 2)
-        d1 = snake_delta_matrix(
-            apply_F_ses(F, horseshoe(E, RA0, RB0, rng).ses), p, rng
-        )
-        d2 = snake_delta_matrix(
-            apply_F_ses(F, horseshoe(E, RA0, RB0, rng).ses), p, rng
-        )
+        d1 = derived_connecting(F, E, p, registry, rng)
+        d2 = derived_connecting(F, E, p, registry, rng)
         independent = d1 == d2
         ok = square.verdict and independent
         return {

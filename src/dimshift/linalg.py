@@ -104,6 +104,8 @@ class RationalMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int) -> "RationalMatrix":
+        if any(len(col) != nrows for col in columns):
+            raise ValueError("column length does not match nrows")
         return cls(
             [[col[i] for col in columns] for i in range(nrows)], len(columns)
         )
@@ -150,6 +152,13 @@ class RationalMatrix:
             left += m.ncols
         return cls._of(rows, ncols)
 
+    def take(self, rows: Sequence[int], cols: Sequence[int]) -> "RationalMatrix":
+        """The submatrix on the given row and column indices, in the
+        order given; an index may repeat."""
+        return RationalMatrix._of(
+            [[self.rows[i][j] for j in cols] for i in rows], len(cols)
+        )
+
     def entry(self, i: int, j: int) -> Rat:
         return self.rows[i][j]
 
@@ -158,9 +167,6 @@ class RationalMatrix:
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "RationalMatrix":
         if not self.rows:
@@ -326,7 +332,7 @@ def rcef(M: RationalMatrix) -> tuple:
     zero in the other columns.  Zero columns are dropped.
     """
     R, pivots = rref(M.transpose())
-    return RationalMatrix._of(R.rows[: len(pivots)], M.nrows).transpose(), pivots
+    return R.take(range(len(pivots)), range(M.nrows)).transpose(), pivots
 
 
 def image_basis(M: RationalMatrix) -> RationalMatrix:
@@ -426,30 +432,17 @@ class Subspace:
         return self.dim == 0
 
     def express(self, vec: Sequence):
-        """Coordinates of vec in the canonical basis, or NoSolution.
-
-        Reading coordinates off the pivot rows avoids an elimination.
-        """
-        vec = [rat(x) for x in vec]
-        if len(vec) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        coords = [vec[p] for p in self.pivot_rows]
-        residual = list(vec)
-        for j, c in enumerate(coords):
-            if c:
-                col = self.basis.column(j)
-                for i in range(self.ambient_dim):
-                    if col[i]:
-                        residual[i] -= c * col[i]
-        if any(residual):
-            return NoSolution
-        return tuple(coords)
+        """Coordinates of vec in the canonical basis, or NoSolution."""
+        coords = self.express_columns(RationalMatrix.column_vector(vec))
+        return coords if coords is NoSolution else coords.column(0)
 
     def express_columns(self, M: RationalMatrix):
-        """Coordinates of every column at once, or NoSolution if any escapes."""
+        """Coordinates of every column at once, or NoSolution if any
+        escapes.  Reading coordinates off the pivot rows avoids an
+        elimination."""
         if M.nrows != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        coords = RationalMatrix._of([M.rows[p] for p in self.pivot_rows], M.ncols)
+        coords = M.take(self.pivot_rows, range(M.ncols))
         if (M - self.basis @ coords).is_zero():
             return coords
         return NoSolution
@@ -458,7 +451,7 @@ class Subspace:
         return self.express(vec) is not NoSolution
 
     def contains_columns(self, M: RationalMatrix) -> bool:
-        return all(self.contains(M.column(j)) for j in range(M.ncols))
+        return self.express_columns(M) is not NoSolution
 
     def __eq__(self, other) -> bool:
         return (
@@ -538,13 +531,7 @@ def quotient(ambient_dim: int, denominator: Subspace) -> QuotientPresentation:
         raise ValueError("denominator lives in the wrong space")
     pivot_set = set(denominator.pivot_rows)
     free_rows = [i for i in range(ambient_dim) if i not in pivot_set]
-    reps = RationalMatrix._of(
-        [
-            [ONE if i == j else ZERO for j in free_rows]
-            for i in range(ambient_dim)
-        ],
-        len(free_rows),
-    )
+    reps = RationalMatrix.identity(ambient_dim).take(range(ambient_dim), free_rows)
     w = denominator.dim
     if w == 0:
         reduction = RationalMatrix.identity(ambient_dim)
@@ -552,7 +539,7 @@ def quotient(ambient_dim: int, denominator: Subspace) -> QuotientPresentation:
         # v = W a + R b uniquely; the reduction reads off b.
         B = RationalMatrix.hstack([denominator.basis, reps])
         Binv = inverse(B)
-        reduction = RationalMatrix._of(Binv.rows[w:], ambient_dim)
+        reduction = Binv.take(range(w, ambient_dim), range(ambient_dim))
     return QuotientPresentation(ambient_dim, denominator, reps, reduction)
 
 

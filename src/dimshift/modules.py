@@ -97,15 +97,19 @@ def zero_module(algebra: TruncatedAlgebra) -> LambdaModule:
     return LambdaModule(algebra, RationalMatrix.zeros(0, 0))
 
 
+def _shift_blocks(sizes: Sequence[int], total: int) -> RationalMatrix:
+    rows = [[ZERO] * total for _ in range(total)]
+    off = 0
+    for j in sizes:
+        for t in range(j - 1):
+            rows[off + t + 1][off + t] = ONE
+        off += j
+    return RationalMatrix(rows, total)
+
+
 def free_module(algebra: TruncatedAlgebra, blocks: int) -> LambdaModule:
     """Free module of the given rank: blocks copies of the regular module."""
-    m = algebra.m
-    n = m * blocks
-    rows = [[ZERO] * n for _ in range(n)]
-    for b in range(blocks):
-        for t in range(m - 1):
-            rows[b * m + t + 1][b * m + t] = ONE
-    return LambdaModule(algebra, RationalMatrix(rows, n))
+    return LambdaModule(algebra, _shift_blocks([algebra.m] * blocks, algebra.m * blocks))
 
 
 def simple_module(algebra: TruncatedAlgebra) -> LambdaModule:
@@ -117,10 +121,7 @@ def cyclic_module(algebra: TruncatedAlgebra, length: int) -> LambdaModule:
     """The cyclic module k[x]/(x^length), 1 <= length <= m."""
     if not 1 <= length <= algebra.m:
         raise ValueError("cyclic length out of range")
-    rows = [[ZERO] * length for _ in range(length)]
-    for t in range(length - 1):
-        rows[t + 1][t] = ONE
-    return LambdaModule(algebra, RationalMatrix(rows, length))
+    return LambdaModule(algebra, _shift_blocks([length], length))
 
 
 class ModuleMap:
@@ -230,16 +231,6 @@ class CanonicalForm:
     P_inv: RationalMatrix
 
 
-def _shift_blocks(sizes: Sequence[int], total: int) -> RationalMatrix:
-    rows = [[ZERO] * total for _ in range(total)]
-    off = 0
-    for j in sizes:
-        for t in range(j - 1):
-            rows[off + t + 1][off + t] = ONE
-        off += j
-    return RationalMatrix(rows, total)
-
-
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def canonical_form(M: LambdaModule) -> CanonicalForm:
     """Chain basis for the nilpotent operator of M, cached by fingerprint.
@@ -262,28 +253,25 @@ def canonical_form(M: LambdaModule) -> CanonicalForm:
     for height in range(s, 0, -1):
         # A column is a pivot exactly when it lies outside the span of
         # the columns before it.
-        lower = kernels[height - 1].basis.columns()
+        lower = kernels[height - 1].basis
         carried = [ch[len(ch) - height] for ch in chains if len(ch) > height]
-        candidates = kernels[height].basis.columns()
-        _, pivots = rref(RationalMatrix.from_columns(lower + carried + candidates, d))
+        candidates = kernels[height].basis
+        _, pivots = rref(RationalMatrix.hstack([lower, *carried, candidates]))
         pivots = set(pivots)
-        start = len(lower) + len(carried)
-        if not pivots.issuperset(range(len(lower), start)):
+        start = lower.ncols + len(carried)
+        if not pivots.issuperset(range(lower.ncols, start)):
             raise ConstructionFailure("carried chain vector is dependent")
-        for j, cand in enumerate(candidates):
+        for j in range(candidates.ncols):
             if start + j in pivots:
-                chain = [cand]
-                v = cand
+                chain = [candidates.take(range(d), [j])]
                 for _ in range(height - 1):
-                    v = X.apply(v)
-                    chain.append(v)
+                    chain.append(X @ chain[-1])
                 chains.append(chain)
     chains.sort(key=len, reverse=True)
     sizes = tuple(len(ch) for ch in chains)
     if sum(sizes) != d:
         raise ConstructionFailure("chain lengths do not add up to the dimension")
-    cols = [v for ch in chains for v in ch]
-    P = RationalMatrix.from_columns(cols, d)
+    P = RationalMatrix.hstack([v for ch in chains for v in ch])
     try:
         P_inv = inverse(P)
     except ValueError as exc:
@@ -316,11 +304,9 @@ def embed_into_injective(M: LambdaModule) -> ModuleMap:
     m = M.algebra.m
     blocks = len(cf.block_sizes)
     E = free_module(M.algebra, blocks)
-    rows = [[ZERO] * M.dim for _ in range(E.dim)]
-    for r, j in enumerate(cf.block_sizes):
-        for t in range(j):
-            rows[r * m + (m - j) + t][cf.offsets[r] + t] = ONE
-    emb = RationalMatrix(rows, M.dim)
+    # Column offsets[r] + t of the embedding is basis vector r*m + (m-j) + t.
+    targets = [r * m + m - j + t for r, j in enumerate(cf.block_sizes) for t in range(j)]
+    emb = RationalMatrix.identity(E.dim).take(range(E.dim), targets)
     mono = ModuleMap(M, E, emb @ cf.P_inv)
     if not mono.is_mono():
         raise ConstructionFailure("embedding into the free module is not injective")
@@ -336,64 +322,54 @@ class HomBasis:
     A map between cyclic blocks of sizes a and b is determined by the
     image of the source generator, which can be x^(b-c+t) times the
     target generator for t = 0..c-1, c = min(a, b).  Basis elements are
-    indexed by triples (r, s, t) = (source block, target block, t) in
-    lexicographic order; coordinates of an intertwiner are read off
-    directly from its matrix conjugated into canonical coordinates.
+    ordered by (source block, target block, t), and slot i records
+    (r, row, k): source block r, the row of B's canonical coordinates
+    where the image of r's generator starts, and the length k = c - t
+    of the chain it spans from there.  Coordinates of an intertwiner
+    are read off directly from its matrix conjugated into canonical
+    coordinates.
     """
 
-    __slots__ = ("A", "B", "cf_A", "cf_B", "triples", "_elements")
+    __slots__ = ("A", "B", "cf_A", "cf_B", "slots", "_elements")
 
     def __init__(self, A: LambdaModule, B: LambdaModule):
         self.A = A
         self.B = B
         self.cf_A = canonical_form(A)
         self.cf_B = canonical_form(B)
-        triples = []
-        for r, a in enumerate(self.cf_A.block_sizes):
-            for s, b in enumerate(self.cf_B.block_sizes):
-                for t in range(min(a, b)):
-                    triples.append((r, s, t))
-        self.triples = tuple(triples)
-        self._elements = [None] * len(triples)
+        self.slots = tuple(
+            (r, off + b - k, k)
+            for r, a in enumerate(self.cf_A.block_sizes)
+            for off, b in zip(self.cf_B.offsets, self.cf_B.block_sizes)
+            for k in range(min(a, b), 0, -1)
+        )
+        self._elements = [None] * len(self.slots)
 
     @property
     def dim(self) -> int:
-        return len(self.triples)
+        return len(self.slots)
 
     def element(self, idx: int) -> RationalMatrix:
-        """The idx-th basis intertwiner A -> B as an explicit matrix."""
+        """The idx-th basis intertwiner A -> B as an explicit matrix:
+        P_B's chain columns row..row+k-1 times P_A_inv's first k rows
+        of block r."""
         cached = self._elements[idx]
-        if cached is not None:
-            return cached
-        r, s, t = self.triples[idx]
-        a = self.cf_A.block_sizes[r]
-        b = self.cf_B.block_sizes[s]
-        c = min(a, b)
-        rows = [[ZERO] * self.A.dim for _ in range(self.B.dim)]
-        # P_B @ E @ P_A_inv as a sum of rank-one pieces, one per chain step.
-        for l in range(c - t):
-            col = self.cf_B.P.column(self.cf_B.offsets[s] + (b - c + t) + l)
-            row = self.cf_A.P_inv.row(self.cf_A.offsets[r] + l)
-            for i, ci in enumerate(col):
-                if ci:
-                    target = rows[i]
-                    for j, rj in enumerate(row):
-                        if rj:
-                            target[j] += ci * rj
-        result = RationalMatrix(rows, self.A.dim)
-        self._elements[idx] = result
-        return result
+        if cached is None:
+            r, row, k = self.slots[idx]
+            src = self.cf_A.offsets[r]
+            cached = self._elements[idx] = self.cf_B.P.take(
+                range(self.B.dim), range(row, row + k)
+            ) @ self.cf_A.P_inv.take(range(src, src + k), range(self.A.dim))
+        return cached
 
     def coordinates(self, h: RationalMatrix) -> tuple:
         """Coordinates of an intertwiner h: A -> B in this basis."""
         G = self.cf_B.P_inv @ (h @ self.cf_A.P)
-        out = []
-        for r, s, t in self.triples:
-            a = self.cf_A.block_sizes[r]
-            b = self.cf_B.block_sizes[s]
-            c = min(a, b)
-            out.append(G.entry(self.cf_B.offsets[s] + (b - c + t), self.cf_A.offsets[r]))
-        return tuple(out)
+        return tuple(G.entry(row, self.cf_A.offsets[r]) for r, row, _ in self.slots)
+
+    def rows_of(self, r: int) -> list:
+        """The canonical rows of B that source block r's slots start at."""
+        return [row for r2, row, _ in self.slots if r2 == r]
 
     def from_coordinates(self, coords: Sequence) -> RationalMatrix:
         total = RationalMatrix.zeros(self.B.dim, self.A.dim)
@@ -445,27 +421,17 @@ def apply_F_object(F: FunctorSpec, M: LambdaModule) -> HomBasis:
 def apply_F_map(F: FunctorSpec, f: ModuleMap) -> RationalMatrix:
     """Matrix of F(f): Hom(A, src) -> Hom(A, dst) in the chosen bases.
 
-    Post-composition acts block-column-wise in canonical coordinates,
-    so every entry is a single lookup in P_dst_inv @ f @ P_src.
+    Post-composition keeps the source block of A, so F(f) is block
+    diagonal over the blocks of A, and each block is the submatrix of
+    P_dst_inv @ f @ P_src on the slot rows of that block.
     """
     src_basis = apply_F_object(F, f.src)
     dst_basis = apply_F_object(F, f.dst)
     G = dst_basis.cf_B.P_inv @ (f.matrix @ src_basis.cf_B.P)
-    a_sizes = src_basis.cf_A.block_sizes
-    rows = [[ZERO] * src_basis.dim for _ in range(dst_basis.dim)]
-    for col, (r, s, t) in enumerate(src_basis.triples):
-        a = a_sizes[r]
-        b = src_basis.cf_B.block_sizes[s]
-        src_col = src_basis.cf_B.offsets[s] + (b - min(a, b)) + t
-        for row, (r2, s2, t2) in enumerate(dst_basis.triples):
-            if r2 != r:
-                continue
-            b2 = dst_basis.cf_B.block_sizes[s2]
-            dst_row = dst_basis.cf_B.offsets[s2] + (b2 - min(a, b2)) + t2
-            val = G.entry(dst_row, src_col)
-            if val:
-                rows[row][col] = val
-    return RationalMatrix(rows, src_basis.dim)
+    return RationalMatrix.block_diagonal([
+        G.take(dst_basis.rows_of(r), src_basis.rows_of(r))
+        for r in range(len(src_basis.cf_A.block_sizes))
+    ])
 
 
 def check_left_exactness(F: FunctorSpec, E: SesModules) -> bool:
@@ -595,11 +561,8 @@ def extend_along_mono(
     cf = canonical_form(E)
     blocks = len(cf.block_sizes)
     # Top-coefficient functionals of each free block, applied to g.
-    phi_rows = []
-    for j in range(blocks):
-        lam = cf.P_inv.row(cf.offsets[j] + m - 1)
-        phi_rows.append(RationalMatrix([lam], E.dim) @ g.matrix)
-    phi = RationalMatrix.vstack(phi_rows)  # blocks x dim(src)
+    tops = [off + m - 1 for off in cf.offsets]
+    phi = cf.P_inv.take(tops, range(E.dim)) @ g.matrix  # blocks x dim(src)
     # Extend each functional along f: psi @ f = phi.
     fT = f.matrix.transpose()
     psiT = solve_matrix(fT, phi.transpose())
@@ -618,13 +581,10 @@ def extend_along_mono(
             )
             psi = psi + shift @ null.transpose()
     # Rebuild: row m-1-t of block j, in canonical coordinates, is psi_j X^t.
-    powers = _power_list(C.X, m)
-    rows = [[ZERO] * C.dim for _ in range(E.dim)]
-    for j in range(blocks):
-        psi_j = RationalMatrix([psi.row(j)], C.dim)
-        for t in range(m):
-            rows[cf.offsets[j] + m - 1 - t] = list((psi_j @ powers[t]).row(0))
-    h = ModuleMap(C, E, cf.P @ RationalMatrix(rows, C.dim))
+    # Stacked with t descending, that row sits at (m-1-t) * blocks + j.
+    stacked = RationalMatrix.vstack([psi @ P for P in reversed(_power_list(C.X, m))])
+    order = [u * blocks + j for j in range(blocks) for u in range(m)]
+    h = ModuleMap(C, E, cf.P @ stacked.take(order, range(C.dim)))
     if h.matrix @ f.matrix != g.matrix:
         raise ConstructionFailure("extension does not restrict to the given map")
     return h

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-# Make the sibling oracle module importable regardless of rootdir.
+# Make the sibling fraction_oracle module importable regardless of rootdir.
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dimshift.modules import TruncatedAlgebra, free_module, simple_module

@@ -56,7 +56,7 @@ from dimshift.harness import (
 )
 from dimshift.serialize import dumps
 
-from oracle import gauss_rank, frac_rows, matrix_rank, socle_dim
+from fraction_oracle import gauss_rank, frac_rows, matrix_rank, socle_dim
 
 
 def announce(capsys, criterion, ok, detail):

@@ -62,7 +62,7 @@ from dimshift.harness import (
     gen_random_ses,
 )
 
-from oracle import block_sizes, ext_dim
+from fraction_oracle import block_sizes, ext_dim
 
 
 def standard_ses(k):

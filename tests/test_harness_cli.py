@@ -264,6 +264,8 @@ def test_cli_reports_failure_exit_code_on_bad_flags(capsys):
         ["dump", "--max-dim", "0"],
         ["verify-sign", "--max-padding", "-1"],
         ["demo", "--m", "1"],
+        ["demo", "--n", "0"],
+        ["sign-table", "--n", "0"],
     ],
 )
 def test_cli_bad_flag_values_exit_2_with_one_line(argv, capsys):

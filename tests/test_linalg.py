@@ -25,7 +25,7 @@ from dimshift.linalg import (
     solve_matrix,
 )
 
-from oracle import matrix_rank, nullity
+from fraction_oracle import matrix_rank, nullity
 
 
 def M(rows):
@@ -301,6 +301,7 @@ def derived_matrices(A, B, C, s):
         "sub": A - C,
         "neg": -A,
         "transpose": A.transpose(),
+        "take": A.take(range(A.nrows)[::-1], [(j + 1) % A.ncols for j in range(A.ncols)]),
         "zeros": RationalMatrix.zeros(A.nrows, A.ncols),
         "identity": RationalMatrix.identity(A.ncols),
         "hstack": RationalMatrix.hstack([A, C]),
@@ -343,6 +344,7 @@ def test_equal_matrices_from_different_paths_hash_equal(ops):
         A + RationalMatrix.zeros(A.nrows, A.ncols),
         -(-A),
         A.transpose().transpose(),
+        A.take(range(A.nrows), range(A.ncols)),
         reparsed,
     ]
     for X in same:
@@ -381,3 +383,7 @@ def test_the_public_constructor_rejects_bad_shapes():
         RationalMatrix([[1, 2]], 3)
     with pytest.raises(ValueError):
         RationalMatrix([])
+    with pytest.raises(ValueError):
+        RationalMatrix.from_columns([[1, 2], [3]], 2)  # a column too short
+    with pytest.raises(ValueError):
+        RationalMatrix.from_columns([[1, 2], [3, 4, 5]], 2)  # one too long

@@ -36,7 +36,7 @@ from dimshift.modules import (
 )
 from dimshift.harness import GeneratorConfig, gen_random_map, gen_random_module
 
-from oracle import intertwiner_space_dim, socle_dim
+from fraction_oracle import intertwiner_space_dim, socle_dim
 
 
 def x_multiplication(M):
@@ -253,6 +253,25 @@ def test_functor_respects_composition():
         f = gen_random_map(A, B, rng)
         g = gen_random_map(B, C, rng)
         assert apply_F_map(F, compose(g, f)) == apply_F_map(F, g) @ apply_F_map(F, f)
+
+
+def test_functor_on_a_map_is_post_composition():
+    # Column i of F(f) holds the coordinates of f o e_i, where e_i is the
+    # i-th basis map A -> M; several blocks in A exercise every block of
+    # the block-diagonal F(f).
+    rng = random.Random(29)
+    for m in (2, 3):
+        cfg = GeneratorConfig(seed=0, m=m, max_dim=5)
+        for _ in range(12):
+            A = gen_random_module(cfg, rng, max_dim=4)
+            M = gen_random_module(cfg, rng)
+            N = gen_random_module(cfg, rng)
+            f = gen_random_map(M, N, rng)
+            Ff = apply_F_map(FunctorSpec(cfg.algebra, A), f)
+            src, dst = hom_basis(A, M), hom_basis(A, N)
+            assert (Ff.nrows, Ff.ncols) == (dst.dim, src.dim)
+            for i in range(src.dim):
+                assert Ff.column(i) == dst.coordinates(f.matrix @ src.element(i))
 
 
 def test_left_exactness_on_random_sequences():

@@ -42,7 +42,7 @@ from dimshift.harness import (
     gen_random_ses,
 )
 
-from oracle import matrix_rank
+from fraction_oracle import matrix_rank
 
 
 # -- the deterministic resolution --------------------------------------------

@@ -15,7 +15,7 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     QuotientPresentation,
-    WellDefinednessFailure,
+    VerificationFailure,
     image_basis,
     induced_map,
     inverse,
@@ -23,11 +23,9 @@ from .linalg import (
     quotient,
     rank,
     rat,
-    solve,
     solve_matrix,
 )
 from .modules import (
-    ConstructionFailure,
     FunctorSpec,
     HomBasis,
     LambdaModule,
@@ -57,7 +55,6 @@ from .modules import (
 )
 from .complexes import (
     ChainMap,
-    ChaseFailure,
     CohomologyPresentation,
     ModuleComplex,
     NotHomotopic,
@@ -72,7 +69,6 @@ from .complexes import (
     homotopy_defect,
     identity_chain_map,
     induced_on_cohomology,
-    snake_delta_class,
     snake_delta_matrix,
 )
 from .resolutions import (
@@ -89,11 +85,9 @@ from .resolutions import (
     truncated_shift,
 )
 from .derived import (
-    AcyclicityFailure,
     ConnectingSquareReport,
     DegreeZeroConnecting,
     DerivedFunctorValue,
-    NotEpic,
     SignReport,
     StepSignReport,
     chase_connecting,

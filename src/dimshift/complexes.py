@@ -25,6 +25,7 @@ from .linalg import (
     RationalMatrix,
     Sentinel,
     Subspace,
+    VerificationFailure,
     induced_map,
     kernel_basis,
     quotient,
@@ -41,10 +42,6 @@ from .modules import (
     extend_along_mono,
     is_injective,
 )
-
-
-class ChaseFailure(Exception):
-    """A diagram chase hit an unsolvable lift or pullback."""
 
 
 NotHomotopic = Sentinel("NotHomotopic")
@@ -65,7 +62,7 @@ class VectorComplex:
                 raise ValueError(f"differential {p} has the wrong shape")
         for p in range(len(differentials) - 1):
             if not (differentials[p + 1] @ differentials[p]).is_zero():
-                raise ValueError(f"d o d is nonzero in degree {p}")
+                raise VerificationFailure(f"d o d is nonzero in degree {p}")
         self.dims = dims
         self.differentials = differentials
 
@@ -117,7 +114,7 @@ class ModuleComplex:
                 raise ValueError(f"differential {p} has the wrong endpoints")
         for p in range(len(differentials) - 1):
             if not (differentials[p + 1].matrix @ differentials[p].matrix).is_zero():
-                raise ValueError(f"d o d is nonzero in degree {p}")
+                raise VerificationFailure(f"d o d is nonzero in degree {p}")
         self.objects = objects
         self.differentials = differentials
 
@@ -176,7 +173,7 @@ class ChainMap:
         src_diffs, dst_diffs = _matrices(src), _matrices(dst)
         for p in range(src.horizon):
             if components[p + 1] @ src_diffs[p] != dst_diffs[p] @ components[p]:
-                raise ValueError(f"square at degree {p} does not commute")
+                raise VerificationFailure(f"square at degree {p} does not commute")
         self.src = src
         self.dst = dst
         self.components = components
@@ -245,13 +242,13 @@ class SesOfComplexes:
             i = sub_to_mid.components[p]
             q = mid_to_quot.components[p]
             if not (q @ i).is_zero():
-                raise ValueError(f"composite is nonzero in degree {p}")
+                raise VerificationFailure(f"composite is nonzero in degree {p}")
             if rank(i) != i.ncols:
-                raise ValueError(f"sub map is not injective in degree {p}")
+                raise VerificationFailure(f"sub map is not injective in degree {p}")
             if rank(q) != q.nrows:
-                raise ValueError(f"quot map is not surjective in degree {p}")
+                raise VerificationFailure(f"quot map is not surjective in degree {p}")
             if i.ncols + q.nrows != i.nrows:
-                raise ValueError(f"dimensions do not add up in degree {p}")
+                raise VerificationFailure(f"dimensions do not add up in degree {p}")
         self.sub_to_mid = sub_to_mid
         self.mid_to_quot = mid_to_quot
 
@@ -303,11 +300,8 @@ class CohomologyPresentation:
         """Classes of the given cocycle columns, as quotient coordinates."""
         coords = self.cocycles.express_columns(M)
         if coords is NoSolution:
-            raise ChaseFailure("vector is not a cocycle")
+            raise VerificationFailure("vector is not a cocycle")
         return self.presentation.reduce_columns(coords)
-
-    def project(self, vec: Sequence) -> tuple:
-        return self.project_columns(RationalMatrix.column_vector(vec)).column(0)
 
     def same_presentation(self, other: "CohomologyPresentation") -> bool:
         """Equality of the coordinate data, ignoring the degree label.
@@ -355,7 +349,7 @@ def cohomology(C: VectorComplex, n: int) -> CohomologyPresentation:
     else:
         coords = Z.express_columns(C.differentials[n - 1])
         if coords is NoSolution:
-            raise ChaseFailure("boundaries are not cocycles")
+            raise VerificationFailure("boundaries are not cocycles")
     pres = quotient(Z.dim, Subspace.from_columns(coords))
     return CohomologyPresentation(n, ambient, Z, pres)
 
@@ -363,7 +357,7 @@ def cohomology(C: VectorComplex, n: int) -> CohomologyPresentation:
 def induced_on_cohomology(f: ChainMap, n: int) -> RationalMatrix:
     """Matrix of H^n(f) between the chosen presentations.
 
-    Raises WellDefinednessFailure (from the quotient machinery) if the
+    Raises VerificationFailure (from the quotient machinery) if the
     map fails to preserve boundaries, which cannot happen for an actual
     chain map.
     """
@@ -374,7 +368,7 @@ def induced_on_cohomology(f: ChainMap, n: int) -> RationalMatrix:
     mapped = f.components[n] @ src.cocycles.basis
     coords = dst.cocycles.express_columns(mapped)
     if coords is NoSolution:
-        raise ChaseFailure("chain map does not preserve cocycles")
+        raise VerificationFailure("chain map does not preserve cocycles")
     return induced_map(src.presentation, dst.presentation, coords)
 
 
@@ -422,28 +416,26 @@ def _random_combination(basis: RationalMatrix, width: int, rng: random.Random) -
     return basis @ coeffs
 
 
-def _chase(
-    E: SesOfComplexes,
-    i: int,
-    cocycles: Optional[RationalMatrix],
-    rng: Optional[random.Random],
+def snake_delta_matrix(
+    E: SesOfComplexes, i: int, rng: Optional[random.Random] = None
 ) -> RationalMatrix:
-    """Chase quotient cocycles (columns) in degree i to sub cocycles in
-    degree i+1: lift through the epimorphism, apply the middle
-    differential, pull back through the monomorphism.  cocycles=None
-    chases the chosen representatives of H^i(quot).  With rng given and
-    at least one column, the lifts are shifted by random kernel
-    elements."""
+    """Connecting map H^i(quot) -> H^(i+1)(sub) of a vector-level SES.
+
+    Chase: lift the chosen representatives of H^i(quot) through the
+    epimorphism, apply the middle differential, pull back through the
+    monomorphism.  With rng given and at least one column, the lifts
+    are shifted by random kernel elements; the induced classes do not
+    change (verified in tests, not assumed here).
+    """
     if E.sub_to_mid.is_module_level():
         raise ValueError("the chase runs on vector complexes")
     if not 0 <= i < E.sub.horizon:
         raise ValueError("degree out of range for the connecting map")
-    if cocycles is None:
-        cocycles = cohomology(E.quot, i).representatives()
+    cocycles = cohomology(E.quot, i).representatives()
     pi = E.mid_to_quot.components[i]
     lifts = solve_matrix(pi, cocycles)
     if lifts is NoSolution:
-        raise ChaseFailure("cannot lift through the epimorphism")
+        raise VerificationFailure("cannot lift through the epimorphism")
     if rng is not None and lifts.ncols:
         null = kernel_basis(pi)
         if null.ncols:
@@ -451,34 +443,8 @@ def _chase(
     moved = E.mid.differentials[i] @ lifts
     pulled = solve_matrix(E.sub_to_mid.components[i + 1], moved)
     if pulled is NoSolution:
-        raise ChaseFailure("cannot pull back through the monomorphism")
-    return pulled
-
-
-def snake_delta_matrix(
-    E: SesOfComplexes, i: int, rng: Optional[random.Random] = None
-) -> RationalMatrix:
-    """Connecting map H^i(quot) -> H^(i+1)(sub) of a vector-level SES.
-
-    Chase: lift representatives through the epimorphism, apply the
-    middle differential, pull back through the monomorphism.  With rng
-    given, the lift is shifted by random kernel elements; the induced
-    classes do not change (verified in tests, not assumed here).
-    """
-    pulled = _chase(E, i, None, rng)
+        raise VerificationFailure("cannot pull back through the monomorphism")
     return cohomology(E.sub, i + 1).project_columns(pulled)
-
-
-def snake_delta_class(
-    E: SesOfComplexes, i: int, cocycle: Sequence, rng: Optional[random.Random] = None
-) -> tuple:
-    """Chase a single quotient-complex cocycle through the sequence.
-
-    Returns a representative cocycle of the connecting image in the sub
-    complex at degree i+1, well defined up to coboundary; project it
-    through cohomology(E.sub, i+1) for the class itself.
-    """
-    return _chase(E, i, RationalMatrix.column_vector(cocycle), rng).column(0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +472,7 @@ def find_homotopy(f: ChainMap, g: ChainMap, rng: Optional[random.Random] = None)
         r = e.components[p] - dst_d[p - 1] @ h[p] if p else e.components[0]
         if f.is_module_level():
             if not is_injective(dst.objects[p]):
-                raise ChaseFailure(
+                raise VerificationFailure(
                     "module-level homotopy needs injective targets below the horizon"
                 )
             d = src.differentials[p]

@@ -26,12 +26,12 @@ from .linalg import (
     Rat,
     RationalMatrix,
     Subspace,
+    VerificationFailure,
     quotient,
     rank,
     solve_matrix,
 )
 from .modules import (
-    ConstructionFailure,
     FunctorSpec,
     LambdaModule,
     SesModules,
@@ -40,7 +40,6 @@ from .modules import (
     identity_map,
 )
 from .complexes import (
-    ChaseFailure,
     VectorComplex,
     apply_F_chain_map,
     apply_F_complex,
@@ -58,15 +57,6 @@ from .resolutions import (
     lift_resolution_map,
     split_resolution,
 )
-
-
-class AcyclicityFailure(Exception):
-    """A resolution offered as acyclic for the functor is not."""
-
-
-class NotEpic(Exception):
-    """The degree-zero barred connecting map failed to be surjective,
-    so it cannot serve as an identification."""
 
 
 def sign_factor(n: int) -> int:
@@ -105,7 +95,7 @@ def derived_functor(
     # Left exactness identifies the degree-0 value with F applied to the
     # module itself; anything else means the resolution is broken.
     if value.dim(0) != apply_F_object(F, M).dim:
-        raise ConstructionFailure("degree-0 value disagrees with the functor")
+        raise VerificationFailure("degree-0 value disagrees with the functor")
     return value
 
 
@@ -122,7 +112,7 @@ def comparison_iso(
 ) -> RationalMatrix:
     """H^n(F J) -> R^n F(M) induced by a lift of the identity.
 
-    J must resolve M by F-acyclic objects (checked, AcyclicityFailure
+    J must resolve M by F-acyclic objects (checked, VerificationFailure
     otherwise).  Different lifts are homotopic, so the matrix does not
     depend on rng; invertibility is asserted rather than assumed.
     """
@@ -133,12 +123,12 @@ def comparison_iso(
     depth = max(n, 1)
     for p, obj in enumerate(J.objects):
         if not is_F_acyclic(F, obj, depth, registry):
-            raise AcyclicityFailure(f"resolution object in degree {p} is not acyclic")
+            raise VerificationFailure(f"resolution object in degree {p} is not acyclic")
     I = registry.resolution(M, J.horizon)
     f = lift_resolution_map(identity_map(M), J, I, rng)
     c = induced_on_cohomology(apply_F_chain_map(F, f), n)
     if c.nrows != c.ncols or rank(c) != c.nrows:
-        raise AcyclicityFailure("comparison map is not invertible")
+        raise VerificationFailure("comparison map is not invertible")
     return c
 
 
@@ -204,8 +194,8 @@ def derived_connecting_deg0(
     Exactness of the long sequence at F(quot) is machine-checked: the
     unbarred connecting map must kill exactly the image of F(mid).
     The barred map is always injective; if it is not surjective the
-    middle term is not F-acyclic and NotEpic is raised, since the
-    dimension shift needs this map to be invertible.
+    middle term is not F-acyclic and VerificationFailure is raised,
+    since the dimension shift needs this map to be invertible.
     """
     delta0 = derived_connecting(F, E, 0, registry, rng)
     RB = registry.resolution(E.quot, 2)
@@ -213,22 +203,22 @@ def derived_connecting_deg0(
     F_aug = apply_F_map(F, RB.augmentation)
     iota_coords = H0.cocycles.express_columns(F_aug)
     if iota_coords is NoSolution:
-        raise ChaseFailure("augmentation image is not made of cocycles")
+        raise VerificationFailure("augmentation image is not made of cocycles")
     if iota_coords.nrows != iota_coords.ncols or rank(iota_coords) != iota_coords.nrows:
-        raise ConstructionFailure("F(quot) does not exhaust the degree-zero cocycles")
+        raise VerificationFailure("F(quot) does not exhaust the degree-zero cocycles")
     unbarred = delta0 @ iota_coords
     F_pi = apply_F_map(F, E.c_to_b)
     if not (unbarred @ F_pi).is_zero():
-        raise ConstructionFailure("connecting map does not kill the image of F(mid)")
+        raise VerificationFailure("connecting map does not kill the image of F(mid)")
     Q = quotient(F_aug.ncols, Subspace.from_columns(F_pi))
     barred = unbarred @ Q.representative_basis
     r = rank(barred)
     if r != Q.dim:
-        raise ConstructionFailure("barred connecting map is not injective")
+        raise VerificationFailure("barred connecting map is not injective")
     RA = registry.resolution(E.sub, 2)
     target_dim = cohomology(apply_F_complex(F, RA.complex), 1).dim
     if r != target_dim:
-        raise NotEpic(
+        raise VerificationFailure(
             "barred connecting map is not surjective; the middle term is not acyclic"
         )
     return DegreeZeroConnecting(Q, barred)
@@ -265,17 +255,17 @@ def dimension_shift_iso(
     F_u = apply_F_map(F, splitting.inclusions[n])
     in_cycles = solve_matrix(F_u, Hn.representatives())
     if in_cycles is NoSolution:
-        raise ChaseFailure("cocycles do not factor through the cycle inclusion")
+        raise VerificationFailure("cocycles do not factor through the cycle inclusion")
     bar = derived_connecting_deg0(F, splitting.sequences[n - 1], registry, rng)
     F_v = apply_F_map(F, splitting.corestrictions[n - 1])
     if bar.presentation.ambient_dim != F_u.ncols or bar.presentation.denominator != Subspace.from_columns(F_v):
-        raise ConstructionFailure("identification target drifted between presentations")
+        raise VerificationFailure("identification target drifted between presentations")
     total = bar.matrix @ (bar.presentation.reduction_map @ in_cycles)
     for p in range(1, n):
         step = derived_connecting(F, splitting.sequences[n - p - 1], p, registry, rng)
         total = step @ total
     if total.nrows != total.ncols or rank(total) != total.nrows:
-        raise AcyclicityFailure("shift composite is not invertible")
+        raise VerificationFailure("shift composite is not invertible")
     return total
 
 
@@ -403,16 +393,16 @@ def verify_shift_step_sign(
     Hn = cohomology(FJ, n)
     target = cohomology(FS.sub, p + 1)
     if not target.same_presentation(Hn):
-        raise ConstructionFailure("cylinder target presentation drifted")
+        raise VerificationFailure("cylinder target presentation drifted")
     if p == 0:
         H0 = cohomology(FS.quot, 0)
         if H0.cocycles != Hn.cocycles:
-            raise ConstructionFailure("cylinder source cocycles drifted")
+            raise VerificationFailure("cylinder source cocycles drifted")
         D = snake_delta_matrix(FS, 0, rng) @ Hn.presentation.representative_basis
     else:
         source = cohomology(FS.quot, p)
         if not source.same_presentation(Hn):
-            raise ConstructionFailure("cylinder source presentation drifted")
+            raise VerificationFailure("cylinder source presentation drifted")
         D = snake_delta_matrix(FS, p, rng)
     s = -1 if (p + 1) % 2 else 1
     expected = Rat(s) * RationalMatrix.identity(Hn.dim)

@@ -15,9 +15,8 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .linalg import RationalMatrix, inverse, rat
+from .linalg import RationalMatrix, VerificationFailure, inverse, rat
 from .modules import (
-    ConstructionFailure,
     FunctorSpec,
     LambdaModule,
     ModuleMap,
@@ -32,7 +31,7 @@ from .modules import (
     simple_module,
 )
 from .complexes import ModuleComplex
-from .resolutions import Resolution, ResolutionRegistry, split_resolution
+from .resolutions import Resolution, ResolutionRegistry, _glue, split_resolution
 from .derived import (
     derived_connecting,
     sign_factor,
@@ -94,7 +93,7 @@ def _random_invertible(dim: int, rng: random.Random) -> tuple:
             return P, inverse(P)
         except ValueError:
             continue
-    raise ConstructionFailure(f"no invertible draw in {_ATTEMPTS} attempts")
+    raise VerificationFailure(f"no invertible draw in {_ATTEMPTS} attempts")
 
 
 def gen_random_module(
@@ -117,7 +116,7 @@ def gen_random_module(
         X = P @ (X0 @ P_inv)
         if X.max_bit_length() <= _ENTRY_BIT_CAP:
             return LambdaModule(cfg.algebra, X)
-    raise ConstructionFailure(f"no conjugate under the bit cap in {_ATTEMPTS} attempts")
+    raise VerificationFailure(f"no conjugate under the bit cap in {_ATTEMPTS} attempts")
 
 
 def gen_random_functor(cfg: GeneratorConfig, rng: random.Random) -> FunctorSpec:
@@ -169,7 +168,8 @@ def gen_padded_resolution(
     """The registry resolution of M, direct-summed with up to
     max_padding contractible two-term complexes id: E -> E at random
     degrees.  Still exact, still degreewise injective, but structurally
-    different from the registry resolution whenever padding lands."""
+    different from the registry resolution whenever padding lands.  The
+    sum is a twisted sum with zero thetas, so _glue re-checks it."""
     base = registry.resolution(M, horizon)
     count = rng.randint(0, cfg.max_padding)
     pads = []
@@ -179,35 +179,27 @@ def gen_padded_resolution(
         pads.append((q, E))
     if not pads:
         return base
-    # Block-diagonal sum: the registry complex first, then the pads in
-    # draw order.  A pad at q is E --id--> E in degrees q and q + 1.
-    def pad_dim(q, E, p):
-        return E.dim if p in (q, q + 1) else 0
-
-    def pad_differential(q, E, p):
-        if p == q:
-            return RationalMatrix.identity(E.dim)
-        return RationalMatrix.zeros(pad_dim(q, E, p + 1), pad_dim(q, E, p))
-
+    # The pads as one complex, in draw order: a pad at q is E --id--> E
+    # in degrees q and q + 1, and a 0 x 0 block elsewhere.
     diag = RationalMatrix.block_diagonal
-    objects = [
-        LambdaModule(
-            cfg.algebra,
-            diag([base.objects[p].X] + [E.X for q, E in pads if pad_dim(q, E, p)]),
-        )
-        for p in range(horizon + 1)
-    ]
+    zero = RationalMatrix.zeros(0, 0)
+    Xs = [[E.X if p in (q, q + 1) else zero for q, E in pads] for p in range(horizon + 1)]
+    objects = [LambdaModule(cfg.algebra, diag(row)) for row in Xs]
     differentials = [
-        ModuleMap(
-            objects[p],
-            objects[p + 1],
-            diag([base.differential(p).matrix] + [pad_differential(q, E, p) for q, E in pads]),
-        )
+        ModuleMap(objects[p], objects[p + 1], diag([
+            RationalMatrix.identity(X.nrows) if p == q else RationalMatrix.zeros(Y.nrows, X.nrows)
+            for (q, _), X, Y in zip(pads, Xs[p], Xs[p + 1])
+        ]))
         for p in range(horizon)
     ]
-    padding = RationalMatrix.zeros(objects[0].dim - base.objects[0].dim, 0)
-    augmentation = ModuleMap(M, objects[0], diag([base.augmentation.matrix, padding]))
-    return Resolution(M, augmentation, ModuleComplex(objects, differentials))
+    pad_complex = ModuleComplex(objects, differentials)
+    aug = RationalMatrix.vstack(
+        [base.augmentation.matrix, RationalMatrix.zeros(objects[0].dim, M.dim)]
+    )
+    thetas = [
+        RationalMatrix.zeros(base.objects[p + 1].dim, objects[p].dim) for p in range(horizon)
+    ]
+    return _glue(M, aug, base.complex, pad_complex, thetas).resolution
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +235,17 @@ def _report(config: dict, trials: list, started: float) -> RunReport:
 
 
 def _run_suite(suite: str, cfg: GeneratorConfig, trial) -> RunReport:
-    """One record per sub-seed: the seed, then what trial(rng) returns."""
+    """One record per sub-seed: the seed, then what trial(rng) returns.
+    A trial that breaks an invariant gives a failed record with the
+    error, and the suite goes on to the next seed."""
     started = time.perf_counter()
-    trials = [{"seed": seed, **trial(random.Random(seed))} for seed in _trial_seeds(cfg)]
+    trials = []
+    for seed in _trial_seeds(cfg):
+        try:
+            record = trial(random.Random(seed))
+        except VerificationFailure as exc:
+            record = {"verdict": "fail", "error": str(exc)}
+        trials.append({"seed": seed, **record})
     return _report({"suite": suite, **asdict(cfg)}, trials, started)
 
 

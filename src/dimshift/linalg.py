@@ -55,8 +55,10 @@ class Sentinel:
 NoSolution = Sentinel("NoSolution")
 
 
-class WellDefinednessFailure(Exception):
-    """A map does not descend to the requested quotient."""
+class VerificationFailure(Exception):
+    """A broken invariant: a check on mathematical content failed, such
+    as d o d = 0, exactness, intertwining or well-definedness.  Bad
+    shapes, endpoints and arguments raise ValueError instead."""
 
 
 class RationalMatrix:
@@ -172,19 +174,6 @@ class RationalMatrix:
         if not self.rows:
             return RationalMatrix.zeros(self.ncols, 0)
         return RationalMatrix._of(zip(*self.rows), self.nrows)
-
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix times column vector, returned as a tuple."""
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for row in self.rows:
-            acc = ZERO
-            for a, b in zip(row, vec):
-                if a and b:
-                    acc += a * b
-            out.append(acc)
-        return tuple(out)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
@@ -380,14 +369,6 @@ def solve_matrix(M: RationalMatrix, B: RationalMatrix):
     return RationalMatrix._of(out, B.ncols)
 
 
-def solve(M: RationalMatrix, b: Sequence):
-    """Particular solution of M @ x = b as a tuple, or NoSolution."""
-    X = solve_matrix(M, RationalMatrix.column_vector(b))
-    if X is NoSolution:
-        return NoSolution
-    return X.column(0)
-
-
 def inverse(M: RationalMatrix) -> RationalMatrix:
     if M.nrows != M.ncols:
         raise ValueError("only square matrices invert")
@@ -431,11 +412,6 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def express(self, vec: Sequence):
-        """Coordinates of vec in the canonical basis, or NoSolution."""
-        coords = self.express_columns(RationalMatrix.column_vector(vec))
-        return coords if coords is NoSolution else coords.column(0)
-
     def express_columns(self, M: RationalMatrix):
         """Coordinates of every column at once, or NoSolution if any
         escapes.  Reading coordinates off the pivot rows avoids an
@@ -446,9 +422,6 @@ class Subspace:
         if (M - self.basis @ coords).is_zero():
             return coords
         return NoSolution
-
-    def contains(self, vec: Sequence) -> bool:
-        return self.express(vec) is not NoSolution
 
     def contains_columns(self, M: RationalMatrix) -> bool:
         return self.express_columns(M) is not NoSolution
@@ -488,10 +461,10 @@ class QuotientPresentation:
         if denominator.ambient_dim != ambient_dim:
             raise ValueError("denominator lives in the wrong space")
         if not (reduction_map @ denominator.basis).is_zero():
-            raise ValueError("reduction map does not kill the denominator")
+            raise VerificationFailure("reduction map does not kill the denominator")
         q = representative_basis.ncols
         if reduction_map @ representative_basis != RationalMatrix.identity(q):
-            raise ValueError("reduction map is not a retraction onto representatives")
+            raise VerificationFailure("reduction map is not a retraction onto representatives")
         self.ambient_dim = ambient_dim
         self.denominator = denominator
         self.representative_basis = representative_basis
@@ -548,13 +521,13 @@ def induced_map(
 ) -> RationalMatrix:
     """Matrix induced by M on quotient coordinates.
 
-    Raises WellDefinednessFailure unless M carries the source
+    Raises VerificationFailure unless M carries the source
     denominator into the destination denominator.
     """
     if M.ncols != src.ambient_dim or M.nrows != dst.ambient_dim:
         raise ValueError("shape mismatch")
     if not dst.denominator.contains_columns(M @ src.denominator.basis):
-        raise WellDefinednessFailure(
+        raise VerificationFailure(
             "map does not carry the source denominator into the destination denominator"
         )
     return dst.reduction_map @ (M @ src.representative_basis)

@@ -27,6 +27,7 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     ZERO,
+    VerificationFailure,
     image_basis,
     inverse,
     kernel_basis,
@@ -40,10 +41,6 @@ from .linalg import (
 # Entries each content-keyed memo (canonical forms, Hom bases,
 # F-complexes, cohomology) keeps before it evicts the least recently used.
 MEMO_SIZE = 256
-
-
-class ConstructionFailure(Exception):
-    """An internal construction violated one of its own invariants."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,7 @@ class LambdaModule:
         for _ in range(algebra.m):
             power = power @ X
         if not power.is_zero():
-            raise ValueError("operator is not nilpotent of the required order")
+            raise VerificationFailure("operator is not nilpotent of the required order")
         self.algebra = algebra
         self.dim = X.nrows
         self.X = X
@@ -135,7 +132,7 @@ class ModuleMap:
         if matrix.nrows != dst.dim or matrix.ncols != src.dim:
             raise ValueError("matrix shape does not match the endpoints")
         if matrix @ src.X != dst.X @ matrix:
-            raise ValueError("matrix does not intertwine the operators")
+            raise VerificationFailure("matrix does not intertwine the operators")
         self.src = src
         self.dst = dst
         self.matrix = matrix
@@ -185,13 +182,13 @@ class SesModules:
         if a_to_c.dst != c_to_b.src:
             raise ValueError("middle objects disagree")
         if not a_to_c.is_mono():
-            raise ValueError("first map is not injective")
+            raise VerificationFailure("first map is not injective")
         if not c_to_b.is_epi():
-            raise ValueError("second map is not surjective")
+            raise VerificationFailure("second map is not surjective")
         mid = Subspace.from_columns(a_to_c.matrix)
         ker = Subspace.from_columns(kernel_basis(c_to_b.matrix))
         if mid != ker:
-            raise ValueError("not exact at the middle object")
+            raise VerificationFailure("not exact at the middle object")
         self.a_to_c = a_to_c
         self.c_to_b = c_to_b
 
@@ -260,7 +257,7 @@ def canonical_form(M: LambdaModule) -> CanonicalForm:
         pivots = set(pivots)
         start = lower.ncols + len(carried)
         if not pivots.issuperset(range(lower.ncols, start)):
-            raise ConstructionFailure("carried chain vector is dependent")
+            raise VerificationFailure("carried chain vector is dependent")
         for j in range(candidates.ncols):
             if start + j in pivots:
                 chain = [candidates.take(range(d), [j])]
@@ -270,14 +267,14 @@ def canonical_form(M: LambdaModule) -> CanonicalForm:
     chains.sort(key=len, reverse=True)
     sizes = tuple(len(ch) for ch in chains)
     if sum(sizes) != d:
-        raise ConstructionFailure("chain lengths do not add up to the dimension")
+        raise VerificationFailure("chain lengths do not add up to the dimension")
     P = RationalMatrix.hstack([v for ch in chains for v in ch])
     try:
         P_inv = inverse(P)
     except ValueError as exc:
-        raise ConstructionFailure("chain vectors are not a basis") from exc
+        raise VerificationFailure("chain vectors are not a basis") from exc
     if P_inv @ X @ P != _shift_blocks(sizes, d):
-        raise ConstructionFailure("conjugation does not reach the block shift form")
+        raise VerificationFailure("conjugation does not reach the block shift form")
     offsets = []
     off = 0
     for j in sizes:
@@ -309,7 +306,7 @@ def embed_into_injective(M: LambdaModule) -> ModuleMap:
     emb = RationalMatrix.identity(E.dim).take(range(E.dim), targets)
     mono = ModuleMap(M, E, emb @ cf.P_inv)
     if not mono.is_mono():
-        raise ConstructionFailure("embedding into the free module is not injective")
+        raise VerificationFailure("embedding into the free module is not injective")
     return mono
 
 
@@ -464,7 +461,7 @@ def kernel_module(f: ModuleMap) -> Kernel:
     basis = kernel_basis(f.matrix)
     restricted = solve_matrix(basis, f.src.X @ basis)
     if restricted is NoSolution:
-        raise ConstructionFailure("kernel is not stable under the operator")
+        raise VerificationFailure("kernel is not stable under the operator")
     K = LambdaModule(f.src.algebra, restricted)
     return Kernel(K, ModuleMap(K, f.src, basis))
 
@@ -491,11 +488,11 @@ def image_factorization(f: ModuleMap) -> ImageFactorization:
     B = image_basis(f.matrix)
     restricted = solve_matrix(B, f.dst.X @ B)
     if restricted is NoSolution:
-        raise ConstructionFailure("image is not stable under the operator")
+        raise VerificationFailure("image is not stable under the operator")
     Z = LambdaModule(f.src.algebra, restricted)
     coords = solve_matrix(B, f.matrix)
     if coords is NoSolution:
-        raise ConstructionFailure("map escapes its own image basis")
+        raise VerificationFailure("map escapes its own image basis")
     return ImageFactorization(Z, ModuleMap(f.src, Z, coords), ModuleMap(Z, f.dst, B))
 
 
@@ -546,7 +543,7 @@ def extend_along_mono(
     rebuilding gives h, so f need not be injective: g only has to
     vanish on ker f, which a monomorphism satisfies automatically.
     When it does not, the functional system is inconsistent and
-    ConstructionFailure is raised.  rng, when given, varies the
+    VerificationFailure is raised.  rng, when given, varies the
     extension within its solution space.
     """
     E = g.dst
@@ -554,7 +551,7 @@ def extend_along_mono(
     if f.src != g.src:
         raise ValueError("extension problem endpoints disagree")
     if not is_injective(E):
-        raise ConstructionFailure("extension target is not injective")
+        raise VerificationFailure("extension target is not injective")
     if E.dim == 0:
         return ModuleMap(C, E, RationalMatrix.zeros(0, C.dim))
     m = E.algebra.m
@@ -567,7 +564,7 @@ def extend_along_mono(
     fT = f.matrix.transpose()
     psiT = solve_matrix(fT, phi.transpose())
     if psiT is NoSolution:
-        raise ConstructionFailure("functional extension system is inconsistent")
+        raise VerificationFailure("functional extension system is inconsistent")
     psi = psiT.transpose()
     if rng is not None:
         null = kernel_basis(fT)
@@ -586,6 +583,6 @@ def extend_along_mono(
     order = [u * blocks + j for j in range(blocks) for u in range(m)]
     h = ModuleMap(C, E, cf.P @ stacked.take(order, range(C.dim)))
     if h.matrix @ f.matrix != g.matrix:
-        raise ConstructionFailure("extension does not restrict to the given map")
+        raise VerificationFailure("extension does not restrict to the given map")
     return h
 

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Rat, RationalMatrix, rank
+from .linalg import Rat, RationalMatrix, VerificationFailure, rank
 from .complexes import (
     ChainMap,
     ModuleComplex,
@@ -30,7 +30,6 @@ from .complexes import (
     cohomology,
 )
 from .modules import (
-    ConstructionFailure,
     FunctorSpec,
     LambdaModule,
     ModuleMap,
@@ -58,15 +57,15 @@ class Resolution:
         if augmentation.src != base or augmentation.dst != complex.objects[0]:
             raise ValueError("augmentation must run from the base into degree zero")
         if rank(augmentation.matrix) != base.dim:
-            raise ConstructionFailure("augmentation is not injective")
+            raise VerificationFailure("augmentation is not injective")
         ranks = [rank(d.matrix) for d in complex.differentials]
         if complex.horizon >= 1:
             if not (complex.differentials[0].matrix @ augmentation.matrix).is_zero():
-                raise ConstructionFailure("differential does not kill the base")
+                raise VerificationFailure("differential does not kill the base")
         incoming = base.dim
         for p in range(complex.horizon):
             if complex.objects[p].dim - ranks[p] != incoming:
-                raise ConstructionFailure(f"resolution is not exact in degree {p}")
+                raise VerificationFailure(f"resolution is not exact in degree {p}")
             incoming = ranks[p]
         self.base = base
         self.augmentation = augmentation
@@ -176,7 +175,7 @@ def split_resolution(J: Resolution, depth: int) -> ResolutionSplitting:
         d = J.differential(q)
         fact = image_factorization(d)
         if compose(fact.inclusion, fact.corestriction) != d:
-            raise ConstructionFailure("cycle factorization does not recompose")
+            raise VerificationFailure("cycle factorization does not recompose")
         corestrictions.append(fact.corestriction)
         sequences.append(SesModules(inclusions[q], fact.corestriction))
         cycles.append(fact.module)

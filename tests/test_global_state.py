@@ -1,11 +1,14 @@
-"""No module of the package keeps a mutable container at module level.
+"""No module of the package keeps a mutable container at module level,
+and the package defines one invariant-failure class.
 
 State such a container would hold is shared by every caller in the
 process, so one run could see what another left behind.  Memos are
-bounded functools.lru_cache wrappers instead.
+bounded functools.lru_cache wrappers instead.  A second failure class
+would be one a suite does not catch as a failed trial.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import dimshift
@@ -51,3 +54,36 @@ def test_no_module_level_mutable_containers():
         if (found := module_level_containers(path.read_text()))
     }
     assert offenders == {}
+
+
+ALLOWED_EXCEPTIONS = {("linalg.py", "VerificationFailure"), ("harness.py", "ConfigError")}
+
+
+def exception_classes(sources: dict) -> set:
+    """(file, class) for every class that derives from a builtin
+    exception, directly or through other classes in the sources."""
+    bases = {
+        (name, node.name): {ast.unparse(b).split(".")[-1] for b in node.bases}
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    }
+    known = {
+        n for n, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)
+    }
+    found = set()
+    while new := {key for key, b in bases.items() if key not in found and b & known}:
+        found |= new
+        known |= {cls for _, cls in new}
+    return found
+
+
+def test_the_guard_finds_exception_classes_through_subclasses():
+    sources = {"a.py": "class E(ValueError): pass\nclass P: pass\n", "b.py": "class F(E): pass\n"}
+    assert exception_classes(sources) == {("a.py", "E"), ("b.py", "F")}
+
+
+def test_one_invariant_failure_class():
+    package = Path(dimshift.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert exception_classes(sources) - ALLOWED_EXCEPTIONS == set()

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from dimshift.linalg import RationalMatrix, kernel_basis, rank, rat
+from dimshift.linalg import RationalMatrix, VerificationFailure, kernel_basis, rank, rat
 from dimshift.modules import (
-    ConstructionFailure,
     FunctorSpec,
     LambdaModule,
     ModuleMap,
@@ -142,7 +141,7 @@ def test_left_exactness_on_split_sequences(alg2, k2, lam2):
 
 
 def test_ses_constructor_rejects_inexact_data(k2):
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationFailure, match="not exact at the middle object"):
         SesModules(identity_map(k2), identity_map(k2))
 
 
@@ -315,7 +314,7 @@ def test_extension_along_a_non_injective_differential(registry):
         if (stray.matrix @ kernel_basis(d.matrix)).is_zero():
             continue
         stray_seen += 1
-        with pytest.raises(ConstructionFailure):
+        with pytest.raises(VerificationFailure, match="extension system is inconsistent"):
             extend_along_mono(d, stray)
     assert stray_seen
 
@@ -328,12 +327,12 @@ def test_extension_into_the_zero_module(alg2, k2):
 
 
 def test_module_map_constructor_rejects_non_intertwiners(alg2, k2, lam2):
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationFailure, match="does not intertwine"):
         ModuleMap(lam2, k2, RationalMatrix([[rat(0), rat(1)]], 2))
 
 
 def test_nilpotency_is_enforced(alg2):
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationFailure, match="not nilpotent"):
         LambdaModule(alg2, RationalMatrix([[rat(0), rat(1)], [rat(1), rat(0)]], 2))
     # The same operator is welcome at a deeper truncation when nilpotent.
     LambdaModule(TruncatedAlgebra(3), RationalMatrix(

@@ -1,0 +1,45 @@
+"""Deliberately broken signs must give a failing verdict, not a pass and
+not a traceback.
+
+Each test patches one sign in the running package and runs a verifying
+command at a fixed seed; the command must exit 1.
+"""
+
+import json
+
+from dimshift import derived, harness, resolutions
+from dimshift.cli import main
+
+# The flags of the lemmas workload and of the first sign workload.
+LEMMAS = "verify-lemmas --seed 41 --m 2 --max-dim 8 --horizon 4 --trials 4".split()
+SIGN = "verify-sign --seed 31 --m 2 --max-dim 12 --horizon 4 --trials 6".split()
+
+
+def test_negated_thetas_fail_trials_and_keep_the_report(monkeypatch, tmp_path):
+    glue = resolutions._glue
+
+    def negated(base, aug, sub, quot, thetas):
+        return glue(base, aug, sub, quot, [-theta for theta in thetas])
+
+    monkeypatch.setattr(resolutions, "_glue", negated)
+    out = tmp_path / "report.json"
+    assert main(LEMMAS + ["--output", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["pass"] is False
+    failed = [t for t in report["trials"] if "error" in t]
+    assert failed
+    for t in failed:
+        assert t["verdict"] == "fail"
+        assert isinstance(t["seed"], int) and t["error"]
+
+
+def test_a_constant_sign_fails_the_sign_suite(monkeypatch):
+    for module in (derived, harness):
+        monkeypatch.setattr(module, "sign_factor", lambda n: 1)
+    assert main(SIGN) == 1
+
+
+def test_a_negated_connecting_map_fails_the_sign_suite(monkeypatch):
+    snake = derived.snake_delta_matrix
+    monkeypatch.setattr(derived, "snake_delta_matrix", lambda *args: -snake(*args))
+    assert main(SIGN) == 1

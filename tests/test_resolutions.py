@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from dimshift.linalg import RationalMatrix, rat
+from dimshift.linalg import RationalMatrix, VerificationFailure, rat
 from dimshift.modules import (
-    ConstructionFailure,
     FunctorSpec,
     compose,
     direct_sum,
@@ -91,7 +90,7 @@ def test_resolution_constructor_rejects_inexact_complexes(alg2, k2, lam2):
     # 0 -> k -> free -> free with a zero differential: the augmentation
     # image is a proper subspace of the kernel, so degree 0 is inexact.
     stalled = ModuleComplex([lam2, lam2], [zero_map(lam2, lam2)])
-    with pytest.raises(ConstructionFailure):
+    with pytest.raises(VerificationFailure, match="resolution is not exact in degree 0"):
         Resolution(k2, embed_into_injective(k2), stalled)
 
 

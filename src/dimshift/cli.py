@@ -124,6 +124,9 @@ def _emit_report(report: RunReport, args) -> int:
 def _cmd_demo(args) -> int:
     report = run_demo(args.m, args.n)
     for row in report.trials:
+        if "error" in row:
+            print(f"n={row['n']}: fail, {row['error']}")
+            continue
         print(
             f"n={row['n']}: c^n = {row['c']}, d^n = {row['d']}, "
             f"sign = {row['sign']:+d}, {row['verdict']}"

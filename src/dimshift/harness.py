@@ -346,7 +346,9 @@ def run_step_sign_suite(
 def run_demo(m: int, n_max: int) -> RunReport:
     """The worked example: M = k over k[x]/(x^m), F = Hom(k, -).
 
-    Prints nothing itself; returns the table of c^n, d^n, and signs.
+    Prints nothing itself; returns the table of c^n, d^n, and signs.  A
+    degree that breaks an invariant gives a failed record with the
+    error, as in _run_suite, and the table goes on to the next degree.
     """
     started = time.perf_counter()
     algebra = TruncatedAlgebra(m)
@@ -355,8 +357,12 @@ def run_demo(m: int, n_max: int) -> RunReport:
     registry = ResolutionRegistry()
     trials = []
     for n in range(1, n_max + 1):
-        J = registry.resolution(k, n + 1)
-        report = verify_sign_identity(F, k, J, n, registry)
+        try:
+            J = registry.resolution(k, n + 1)
+            report = verify_sign_identity(F, k, J, n, registry)
+        except VerificationFailure as exc:
+            trials.append({"n": n, "verdict": "fail", "error": str(exc)})
+            continue
         trials.append(
             {
                 "n": n,

@@ -1,16 +1,27 @@
 """Exact linear algebra over the rationals.
 
-All arithmetic uses gmpy2.mpq when the optional gmpy2 is installed,
-and fractions.Fraction otherwise.  Both keep every value reduced with a
-positive denominator; there is no tolerance parameter anywhere.
-Matrices are immutable and act on column vectors, so composition reads
-right to left: (A @ B)(v) = A(B(v)).
+A matrix is stored as integer rows over one common denominator: num, a
+tuple of tuples of int, and den, an int > 0.  The form is canonical:
+gcd(den, every entry) = 1, so a zero matrix has den 1, and equality and
+hashing compare ints only.  Matrices are immutable and act on column
+vectors, so composition reads right to left: (A @ B)(v) = A(B(v)).
+Every product, sum and elimination runs on ints; elimination is
+fraction-free, after Bareiss: a row is updated as p*row - f*pivot_row
+and then divided by its content, and each row is divided by its pivot
+only when the reduced form is read out.  There is no tolerance
+parameter anywhere.
+
+At the boundary entries are Rat values: gmpy2.mpq when the optional
+gmpy2 is installed, fractions.Fraction otherwise, both reduced with a
+positive denominator.  The public constructors take them in, and rows,
+row, column and entry give them back; gmpy2 is used for nothing else.
 
 The trust boundary is this module.  The public constructors
 (RationalMatrix(...), from_columns, column_vector) coerce every entry
 to Rat and reject ragged rows.  Every matrix this module derives from
-existing matrices or from Rat arithmetic is built by the private
-RationalMatrix._of, which coerces nothing.
+existing matrices is built by the private RationalMatrix._of, which
+takes integer rows and a denominator, coerces nothing and checks
+nothing; it only brings the pair to lowest terms.
 
 Subspaces carry a canonical basis in reduced column echelon form: the
 topmost nonzero entry of each basis column is 1, those pivot rows are
@@ -21,6 +32,7 @@ comparison and keep every construction deterministic.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 try:
@@ -61,13 +73,29 @@ class VerificationFailure(Exception):
     shapes, endpoints and arguments raise ValueError instead."""
 
 
-class RationalMatrix:
-    """Immutable matrix of Rat entries, acting on column vectors."""
+def _scaled(num, s: int):
+    """Integer rows times the int s."""
+    if s == 1:
+        return num
+    return [[s * x for x in row] for row in num]
 
-    __slots__ = ("nrows", "ncols", "rows", "_hash")
+
+def _common(mats) -> tuple:
+    """The lcm of the matrices' denominators, and each one's integer
+    rows over it."""
+    den = lcm(*(m.den for m in mats))
+    return den, [_scaled(m.num, den // m.den) for m in mats]
+
+
+class RationalMatrix:
+    """Immutable rational matrix, acting on column vectors, stored as
+    integer rows num over one common denominator den > 0 in lowest
+    terms."""
+
+    __slots__ = ("nrows", "ncols", "num", "den", "_hash")
 
     def __init__(self, rows: Iterable[Iterable], ncols: Optional[int] = None):
-        rows = tuple(tuple(rat(x) for x in row) for row in rows)
+        rows = [[rat(x) for x in row] for row in rows]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -77,32 +105,50 @@ class RationalMatrix:
             ncols = width
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit ncols")
-        self.rows = rows
+        # Over the lcm of the reduced denominators the pair is already in
+        # lowest terms: a prime of den divides neither the numerator nor
+        # the cofactor of the entry whose denominator holds its full power.
+        den = lcm(*(int(x.denominator) for row in rows for x in row))
+        self.num = tuple(
+            tuple(int(x.numerator) * (den // int(x.denominator)) for x in row)
+            for row in rows
+        )
+        self.den = den
         self.nrows = len(rows)
         self.ncols = ncols
         self._hash = None
 
     @classmethod
-    def _of(cls, rows: Iterable[Sequence], ncols: int) -> "RationalMatrix":
-        """Trusted construction from rows of Rat entries, each ncols
-        wide.  Nothing is coerced or checked, so only this module calls
-        it, on entries that are already Rat."""
+    def _of(cls, num: Iterable[Sequence], ncols: int, den: int = 1) -> "RationalMatrix":
+        """Trusted construction from integer rows, each ncols wide, over
+        the denominator den > 0.  Nothing is coerced or checked, so only
+        this module calls it, on ints its own arithmetic produced; the
+        pair is brought to lowest terms."""
         M = object.__new__(cls)
-        M.rows = tuple(map(tuple, rows))
-        M.nrows = len(M.rows)
+        num = tuple(map(tuple, num))
+        if den != 1:
+            g = den
+            for row in num:
+                g = gcd(g, *row)
+                if g == 1:
+                    break
+            if g != 1:
+                den //= g
+                num = tuple(tuple(x // g for x in row) for row in num)
+        M.num = num
+        M.den = den
+        M.nrows = len(num)
         M.ncols = ncols
         M._hash = None
         return M
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls._of(((ZERO,) * ncols,) * nrows, ncols)
+        return cls._of(((0,) * ncols,) * nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._of(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n
-        )
+        return cls._of([[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int) -> "RationalMatrix":
@@ -123,9 +169,11 @@ class RationalMatrix:
         nrows = mats[0].nrows
         if any(m.nrows != nrows for m in mats):
             raise ValueError("hstack: row counts differ")
+        den, nums = _common(mats)
         return cls._of(
-            [sum((m.rows[i] for m in mats), ()) for i in range(nrows)],
+            [[x for num in nums for x in num[i]] for i in range(nrows)],
             sum(m.ncols for m in mats),
+            den,
         )
 
     @classmethod
@@ -135,7 +183,8 @@ class RationalMatrix:
         ncols = mats[0].ncols
         if any(m.ncols != ncols for m in mats):
             raise ValueError("vstack: column counts differ")
-        return cls._of([row for m in mats for row in m.rows], ncols)
+        den, nums = _common(mats)
+        return cls._of([row for num in nums for row in num], ncols, den)
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["RationalMatrix"]]) -> "RationalMatrix":
@@ -145,63 +194,75 @@ class RationalMatrix:
     def block_diagonal(cls, mats: Sequence["RationalMatrix"]) -> "RationalMatrix":
         """The blocks down the diagonal, zero elsewhere.  A 0 x k block
         adds k zero columns and a k x 0 block adds k zero rows."""
+        den, nums = _common(mats)
         ncols = sum(m.ncols for m in mats)
         rows = []
         left = 0
-        for m in mats:
+        for m, num in zip(mats, nums):
             right = ncols - left - m.ncols
-            rows.extend([ZERO] * left + list(row) + [ZERO] * right for row in m.rows)
+            rows.extend([0] * left + list(row) + [0] * right for row in num)
             left += m.ncols
-        return cls._of(rows, ncols)
+        return cls._of(rows, ncols, den)
 
     def take(self, rows: Sequence[int], cols: Sequence[int]) -> "RationalMatrix":
         """The submatrix on the given row and column indices, in the
         order given; an index may repeat."""
+        num = self.num
         return RationalMatrix._of(
-            [[self.rows[i][j] for j in cols] for i in rows], len(cols)
+            [[num[i][j] for j in cols] for i in rows], len(cols), self.den
         )
 
+    @property
+    def rows(self) -> tuple:
+        """The entries as Rat values, one tuple per row."""
+        den = self.den
+        return tuple(tuple(Rat(x, den) for x in row) for row in self.num)
+
     def entry(self, i: int, j: int) -> Rat:
-        return self.rows[i][j]
+        return Rat(self.num[i][j], self.den)
 
     def row(self, i: int) -> tuple:
-        return self.rows[i]
+        den = self.den
+        return tuple(Rat(x, den) for x in self.num[i])
 
     def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
+        den = self.den
+        return tuple(Rat(row[j], den) for row in self.num)
 
     def transpose(self) -> "RationalMatrix":
-        if not self.rows:
+        if not self.num:
             return RationalMatrix.zeros(self.ncols, 0)
-        return RationalMatrix._of(zip(*self.rows), self.nrows)
+        return RationalMatrix._of(zip(*self.num), self.nrows, self.den)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}"
             )
-        orows = other.rows
+        orows = other.num
+        zero = (0,) * other.ncols
         out = []
-        for row in self.rows:
-            acc = [ZERO] * other.ncols
-            for k, a in enumerate(row):
-                if a:
-                    ok = orows[k]
-                    if a is ONE or a == ONE:
-                        for j, b in enumerate(ok):
-                            if b:
-                                acc[j] += b
-                    else:
-                        for j, b in enumerate(ok):
-                            if b:
-                                acc[j] += a * b
-            out.append(acc)
-        return RationalMatrix._of(out, other.ncols)
+        for row in self.num:
+            # Operands are sparse: sum the rows of other that row picks.
+            picked = [
+                orows[k] if a == 1 else [a * b for b in orows[k]]
+                for k, a in enumerate(row)
+                if a
+            ]
+            if not picked:
+                out.append(zero)
+            elif len(picked) == 1:
+                out.append(picked[0])
+            else:
+                out.append([sum(col) for col in zip(*picked)])
+        return RationalMatrix._of(out, other.ncols, self.den * other.den)
 
     def __mul__(self, scalar) -> "RationalMatrix":
         s = rat(scalar)
         return RationalMatrix._of(
-            [[s * x for x in row] for row in self.rows], self.ncols
+            _scaled(self.num, int(s.numerator)),
+            self.ncols,
+            self.den * int(s.denominator),
         )
 
     __rmul__ = __mul__
@@ -209,47 +270,52 @@ class RationalMatrix:
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
+        den, (a, b) = _common((self, other))
         return RationalMatrix._of(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
+            [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)],
             self.ncols,
+            den,
         )
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix._of([[-x for x in row] for row in self.rows], self.ncols)
+        return RationalMatrix._of(
+            [[-x for x in row] for row in self.num], self.ncols, self.den
+        )
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not any(map(any, self.num))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RationalMatrix)
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
         # Memo keys hash the same matrix many times; compute it once.
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.nrows, self.ncols, self.rows))
+            h = self._hash = hash((self.nrows, self.ncols, self.den, self.num))
         return h
 
     def __repr__(self):
         return f"RationalMatrix({[[str(x) for x in row] for row in self.rows]})"
 
     def max_bit_length(self) -> int:
-        """Largest bit length over all numerators and denominators."""
+        """Largest bit length over all entries' reduced numerators and
+        denominators."""
+        den = self.den
         best = 0
-        for row in self.rows:
+        for row in self.num:
             for x in row:
-                n = int(x.numerator).bit_length()
-                d = int(x.denominator).bit_length()
+                g = gcd(x, den)
+                n = (x // g).bit_length()
+                d = (den // g).bit_length()
                 if n > best:
                     best = n
                 if d > best:
@@ -258,38 +324,37 @@ class RationalMatrix:
 
 
 def _rref(rows: list, ncols: int) -> list:
-    """In-place reduced row echelon form.  Returns pivot column indices.
+    """In-place fraction-free Gauss-Jordan elimination on integer rows.
+    Returns pivot column indices.
 
-    Pivot choice is the first row with a nonzero entry in the current
-    column, so the result is deterministic.
+    Afterwards row i, divided by its entry at pivots[i], is row i of the
+    reduced row echelon form, and the rows past the rank are zero.  A
+    row is updated as p*row - f*pivot_row and then divided by its
+    content, so entries do not blow up.  Pivot choice is the first row
+    with a nonzero entry in the current column, so the result is
+    deterministic.
     """
     pivots = []
     r = 0
     nrows = len(rows)
     for c in range(ncols):
-        pivot_row = None
         for i in range(r, nrows):
             if rows[i][c]:
-                pivot_row = i
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        rows[r], rows[i] = rows[i], rows[r]
         prow = rows[r]
-        inv = ONE / prow[c]
-        if inv != ONE:
-            for j in range(c, ncols):
-                if prow[j]:
-                    prow[j] = prow[j] * inv
+        g = gcd(*prow)
+        if g != 1:
+            prow = rows[r] = [x // g for x in prow]
+        p = prow[c]
         for i in range(nrows):
-            if i == r:
-                continue
             f = rows[i][c]
-            if f:
-                irow = rows[i]
-                for j in range(c, ncols):
-                    if prow[j]:
-                        irow[j] = irow[j] - f * prow[j]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -297,20 +362,32 @@ def _rref(rows: list, ncols: int) -> list:
     return pivots
 
 
+def _over_pivots(rows: list, pivots: list) -> int:
+    """Scale, in place, each of the first len(pivots) rows so that its
+    pivot entry is one common denominator, and return it: each such row
+    over it is then the row divided by its pivot."""
+    den = lcm(*(rows[i][p] for i, p in enumerate(pivots)))
+    for i, p in enumerate(pivots):
+        s = den // rows[i][p]
+        if s != 1:
+            rows[i] = [s * x for x in rows[i]]
+    return den
+
+
 def _mutable(M: RationalMatrix) -> list:
-    return [list(row) for row in M.rows]
+    return [list(row) for row in M.num]
 
 
 def rref(M: RationalMatrix) -> tuple:
     """Reduced row echelon form of M and its pivot column indices."""
     rows = _mutable(M)
     pivots = _rref(rows, M.ncols)
-    return RationalMatrix._of(rows, M.ncols), tuple(pivots)
+    den = _over_pivots(rows, pivots)
+    return RationalMatrix._of(rows, M.ncols, den), tuple(pivots)
 
 
 def rank(M: RationalMatrix) -> int:
-    rows = _mutable(M)
-    return len(_rref(rows, M.ncols))
+    return len(_rref(_mutable(M), M.ncols))
 
 
 def rcef(M: RationalMatrix) -> tuple:
@@ -333,19 +410,22 @@ def kernel_basis(M: RationalMatrix) -> RationalMatrix:
     """Canonical basis of the null space of M, as matrix columns."""
     rows = _mutable(M)
     pivots = _rref(rows, M.ncols)
+    den = _over_pivots(rows, pivots)
     pivot_set = set(pivots)
-    free = [j for j in range(M.ncols) if j not in pivot_set]
     vecs = []
-    for j in free:
-        v = [ZERO] * M.ncols
-        v[j] = ONE
-        for i, p in enumerate(pivots):
-            if rows[i][j]:
+    for j in range(M.ncols):
+        if j not in pivot_set:
+            # den times the vector with 1 at j that M kills.
+            v = [0] * M.ncols
+            v[j] = den
+            for i, p in enumerate(pivots):
                 v[p] = -rows[i][j]
-        vecs.append(v)
-    raw = RationalMatrix._of(vecs, M.ncols).transpose()
-    # Canonicalize so kernel bases compare like any other subspace basis.
-    return rcef(raw)[0] if vecs else RationalMatrix.zeros(M.ncols, 0)
+            vecs.append(v)
+    if not vecs:
+        return RationalMatrix.zeros(M.ncols, 0)
+    # The vectors are independent, so the reduced row echelon form of
+    # them as rows is the canonical basis, transposed.
+    return rref(RationalMatrix._of(vecs, M.ncols))[0].transpose()
 
 
 def solve_matrix(M: RationalMatrix, B: RationalMatrix):
@@ -355,18 +435,21 @@ def solve_matrix(M: RationalMatrix, B: RationalMatrix):
     """
     if M.nrows != B.nrows:
         raise ValueError("dimension mismatch")
-    aug = [list(r1) + list(r2) for r1, r2 in zip(M.rows, B.rows)]
-    if not aug:
+    if not M.num:
         return RationalMatrix.zeros(M.ncols, B.ncols)
+    # [M | B] times M.den * B.den: integer rows with the same solutions.
+    aug = [
+        list(r1) + list(r2)
+        for r1, r2 in zip(_scaled(M.num, B.den), _scaled(B.num, M.den))
+    ]
     pivots = _rref(aug, M.ncols + B.ncols)
     if pivots and pivots[-1] >= M.ncols:
         return NoSolution
-    out = [[ZERO] * B.ncols for _ in range(M.ncols)]
+    den = _over_pivots(aug, pivots)
+    out = [(0,) * B.ncols] * M.ncols
     for i, p in enumerate(pivots):
-        row = aug[i]
-        for j in range(B.ncols):
-            out[p][j] = row[M.ncols + j]
-    return RationalMatrix._of(out, B.ncols)
+        out[p] = aug[i][M.ncols:]
+    return RationalMatrix._of(out, B.ncols, den)
 
 
 def inverse(M: RationalMatrix) -> RationalMatrix:
@@ -419,7 +502,7 @@ class Subspace:
         if M.nrows != self.ambient_dim:
             raise ValueError("dimension mismatch")
         coords = M.take(self.pivot_rows, range(M.ncols))
-        if (M - self.basis @ coords).is_zero():
+        if self.basis @ coords == M:
             return coords
         return NoSolution
 

@@ -16,19 +16,15 @@ def frac_rows(M):
     ]
 
 
-def gauss_rank(rows):
-    """Rank by straightforward fraction-exact Gaussian elimination."""
+def fraction_rref(rows):
+    """Reduced row echelon form of plain Fraction rows, by textbook
+    Gauss-Jordan elimination, and its pivot columns."""
     rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    r = 0
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
     for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
@@ -38,10 +34,13 @@ def gauss_rank(rows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        pivots.append(c)
+    return rows, pivots
+
+
+def gauss_rank(rows):
+    """Rank by fraction-exact Gauss-Jordan elimination."""
+    return len(fraction_rref(rows)[1])
 
 
 def matrix_rank(M):

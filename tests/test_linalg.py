@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from dimshift.linalg import (
     solve_matrix,
 )
 
-from fraction_oracle import matrix_rank, nullity
+from fraction_oracle import frac_rows, fraction_rref, gauss_rank, matrix_rank, nullity
 
 
 def M(rows):
@@ -326,14 +327,25 @@ def derived_matrices(A, B, C, s):
 @given(operands())
 def test_derived_matrices_hold_only_rats(ops):
     for name, R in derived_matrices(*ops).items():
-        assert type(R.rows) is tuple, name
-        assert len(R.rows) == R.nrows, name
+        # Stored as integer rows over one positive denominator, in
+        # lowest terms, so equal matrices store equal ints.
+        assert type(R.num) is tuple and len(R.num) == R.nrows, name
+        assert type(R.den) is int and R.den > 0, name
+        for row in R.num:
+            assert type(row) is tuple and len(row) == R.ncols, name
+            assert all(type(x) is int for x in row), name
+        assert gcd(R.den, *(x for row in R.num for x in row)) == 1, name
+        if R.is_zero():
+            assert R.den == 1, name
+        # Seen from outside, every entry is a Rat.
+        assert type(R.rows) is tuple and len(R.rows) == R.nrows, name
         for row in R.rows:
             assert type(row) is tuple and len(row) == R.ncols, name
             assert all(type(x) is Rat for x in row), name
-        expected = hash((R.nrows, R.ncols, R.rows))
-        assert hash(R) == expected, name  # computed
-        assert hash(R) == expected, name  # read back from the slot
+        rebuilt = RationalMatrix(R.rows, R.ncols)
+        assert (rebuilt.num, rebuilt.den) == (R.num, R.den), name
+        assert hash(R) == hash(rebuilt), name  # computed
+        assert hash(R) == hash(rebuilt), name  # read back from the slot
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -390,3 +402,64 @@ def test_the_public_constructor_rejects_bad_shapes():
         RationalMatrix.from_columns([[1, 2], [3]], 2)  # a column too short
     with pytest.raises(ValueError):
         RationalMatrix.from_columns([[1, 2], [3, 4, 5]], 2)  # one too long
+
+
+# -- elimination against an independent oracle -------------------------------
+# Mixed denominators, numerators past 2^64, negative pivots, zero rows and
+# columns, and empty shapes.
+
+oracle_entries = st.one_of(
+    small_entry,
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**66)),
+)
+
+
+def oracle_matrix(draw, nrows, ncols):
+    rows = [[draw(oracle_entries) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if ncols and draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[j] = 0
+    return RationalMatrix(rows, ncols)
+
+
+@st.composite
+def elimination_cases(draw):
+    """A (r x c), a right-hand side B (r x k) and an X (c x k)."""
+    r, c, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    return oracle_matrix(draw, r, c), oracle_matrix(draw, r, k), oracle_matrix(draw, c, k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(elimination_cases())
+def test_elimination_agrees_with_the_fraction_oracle(case):
+    A, B, X = case
+    expected, pivots = fraction_rref(frac_rows(A))
+    R, found = rref(A)
+    assert found == tuple(pivots)
+    assert frac_rows(R) == expected
+    assert rref(-A)[0] == R
+
+    K = kernel_basis(A)
+    assert (K.nrows, K.ncols) == (A.ncols, A.ncols - len(pivots))
+    assert (A @ K).is_zero()
+    assert matrix_rank(K) == K.ncols
+
+    AX = A @ X
+    Y = solve_matrix(A, AX)
+    assert Y is not NoSolution and A @ Y == AX
+    augmented = [a + b for a, b in zip(frac_rows(A), frac_rows(B))]
+    Y = solve_matrix(A, B)
+    if gauss_rank(augmented) > len(pivots):
+        assert Y is NoSolution
+    else:
+        assert Y is not NoSolution and A @ Y == B
+
+    G = A.transpose() @ A + RationalMatrix.identity(A.ncols)
+    I = RationalMatrix.identity(A.ncols)
+    assert G @ inverse(G) == I and inverse(G) @ G == I
+    if A.nrows == A.ncols == len(pivots):
+        assert A @ inverse(A) == RationalMatrix.identity(A.nrows)

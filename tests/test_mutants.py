@@ -15,13 +15,17 @@ LEMMAS = "verify-lemmas --seed 41 --m 2 --max-dim 8 --horizon 4 --trials 4".spli
 SIGN = "verify-sign --seed 31 --m 2 --max-dim 12 --horizon 4 --trials 6".split()
 
 
-def test_negated_thetas_fail_trials_and_keep_the_report(monkeypatch, tmp_path):
+def negate_thetas(monkeypatch):
     glue = resolutions._glue
 
     def negated(base, aug, sub, quot, thetas):
         return glue(base, aug, sub, quot, [-theta for theta in thetas])
 
     monkeypatch.setattr(resolutions, "_glue", negated)
+
+
+def test_negated_thetas_fail_trials_and_keep_the_report(monkeypatch, tmp_path):
+    negate_thetas(monkeypatch)
     out = tmp_path / "report.json"
     assert main(LEMMAS + ["--output", str(out)]) == 1
     report = json.loads(out.read_text())
@@ -31,6 +35,20 @@ def test_negated_thetas_fail_trials_and_keep_the_report(monkeypatch, tmp_path):
     for t in failed:
         assert t["verdict"] == "fail"
         assert isinstance(t["seed"], int) and t["error"]
+
+
+def test_negated_thetas_fail_the_demo_and_keep_the_report(monkeypatch, tmp_path, capsys):
+    negate_thetas(monkeypatch)
+    out = tmp_path / "report.json"
+    assert main(["demo", "--m", "2", "--n", "3", "--output", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["pass"] is False
+    failed = [t for t in report["trials"] if "error" in t]
+    assert failed
+    for t in failed:
+        assert t["verdict"] == "fail"
+        assert t["n"] in (1, 2, 3) and t["error"]
+    assert "fail" in capsys.readouterr().out
 
 
 def test_a_constant_sign_fails_the_sign_suite(monkeypatch):

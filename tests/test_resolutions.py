@@ -7,7 +7,9 @@ import pytest
 from dimshift.linalg import RationalMatrix, VerificationFailure, rat
 from dimshift.modules import (
     FunctorSpec,
+    TruncatedAlgebra,
     compose,
+    cyclic_module,
     direct_sum,
     free_module,
     identity_map,
@@ -92,6 +94,19 @@ def test_resolution_constructor_rejects_inexact_complexes(alg2, k2, lam2):
     stalled = ModuleComplex([lam2, lam2], [zero_map(lam2, lam2)])
     with pytest.raises(VerificationFailure, match="resolution is not exact in degree 0"):
         Resolution(k2, embed_into_injective(k2), stalled)
+
+
+def test_registry_resolutions_of_cyclic_modules_are_periodic():
+    # 0 -> k[x]/x^a -> L -> L -> ... over L = k[x]/(x^m): each d^p is
+    # multiplication by x^(m-a) for even p and by x^a for odd p.
+    registry = ResolutionRegistry()
+    for m in range(2, 6):
+        algebra = TruncatedAlgebra(m)
+        for a in range(1, m):
+            R = registry.resolution(cyclic_module(algebra, a), 5)
+            assert [J.dim for J in R.objects] == [m] * 6
+            for p, d in enumerate(R.complex.differentials):
+                assert matrix_rank(d.matrix) == (m - a if p % 2 == 0 else a)
 
 
 def test_registry_returns_aligned_slices(k2):

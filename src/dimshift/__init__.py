@@ -22,7 +22,6 @@ from .linalg import (
     kernel_basis,
     quotient,
     rank,
-    rat,
     solve_matrix,
 )
 from .modules import (

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 from .linalg import (
     NoSolution,
-    Rat,
     RationalMatrix,
     Sentinel,
     Subspace,
@@ -410,7 +409,7 @@ def apply_F_ses(F: FunctorSpec, S: SesOfComplexes) -> SesOfComplexes:
 
 def _random_combination(basis: RationalMatrix, width: int, rng: random.Random) -> RationalMatrix:
     coeffs = RationalMatrix(
-        [[Rat(rng.randint(-3, 3)) for _ in range(width)] for _ in range(basis.ncols)],
+        [[rng.randint(-3, 3) for _ in range(width)] for _ in range(basis.ncols)],
         width,
     )
     return basis @ coeffs

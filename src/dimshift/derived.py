@@ -23,7 +23,6 @@ from typing import Optional
 
 from .linalg import (
     NoSolution,
-    Rat,
     RationalMatrix,
     Subspace,
     VerificationFailure,
@@ -298,7 +297,7 @@ def verify_sign_identity(
     c = comparison_iso(F, M, J, n, registry, rng)
     d = dimension_shift_iso(F, M, J, n, registry, rng)
     s = sign_factor(n)
-    expected = Rat(s) * c
+    expected = c * s
     mismatch = next(
         (
             (i, j, x, y)
@@ -405,5 +404,5 @@ def verify_shift_step_sign(
             raise VerificationFailure("cylinder source presentation drifted")
         D = snake_delta_matrix(FS, p, rng)
     s = -1 if (p + 1) % 2 else 1
-    expected = Rat(s) * RationalMatrix.identity(Hn.dim)
+    expected = RationalMatrix.identity(Hn.dim) * s
     return StepSignReport(n, p, s, D, D == expected)

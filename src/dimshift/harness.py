@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .linalg import RationalMatrix, VerificationFailure, inverse, rat
+from .linalg import RationalMatrix, VerificationFailure, inverse
 from .modules import (
     FunctorSpec,
     LambdaModule,
@@ -87,7 +87,7 @@ def _random_invertible(dim: int, rng: random.Random) -> tuple:
     """A random small-entry invertible matrix and its inverse."""
     for _ in range(_ATTEMPTS):
         P = RationalMatrix(
-            [[rat(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)], dim
+            [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)], dim
         )
         try:
             return P, inverse(P)
@@ -132,7 +132,7 @@ def gen_random_map(
     """A random morphism, drawn as an integer combination of the
     intertwiner basis."""
     basis = hom_basis(src, dst)
-    coords = [rat(rng.randint(-2, 2)) for _ in range(basis.dim)]
+    coords = [rng.randint(-2, 2) for _ in range(basis.dim)]
     return ModuleMap(src, dst, basis.from_coordinates(coords))
 
 

@@ -11,10 +11,9 @@ and then divided by its content, and each row is divided by its pivot
 only when the reduced form is read out.  There is no tolerance
 parameter anywhere.
 
-At the boundary entries are Rat values: gmpy2.mpq when the optional
-gmpy2 is installed, fractions.Fraction otherwise, both reduced with a
-positive denominator.  The public constructors take them in, and rows,
-row, column and entry give them back; gmpy2 is used for nothing else.
+At the boundary entries are Rat values, which is fractions.Fraction,
+the package's one scalar type.  The public constructors take them in,
+and rows, row, column and entry give them back.
 
 The trust boundary is this module.  The public constructors
 (RationalMatrix(...), from_columns, column_vector) coerce every entry
@@ -32,21 +31,9 @@ comparison and keep every construction deterministic.
 
 from __future__ import annotations
 
+from fractions import Fraction as Rat
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # gmpy2 is the optional "fast" extra
-    from fractions import Fraction as Rat
-
-ZERO = Rat(0)
-ONE = Rat(1)
-
-
-def rat(x) -> Rat:
-    """Coerce an int, string like "3/4", Fraction, or Rat to a Rat."""
-    return Rat(x)
 
 
 class Sentinel:
@@ -95,7 +82,7 @@ class RationalMatrix:
     __slots__ = ("nrows", "ncols", "num", "den", "_hash")
 
     def __init__(self, rows: Iterable[Iterable], ncols: Optional[int] = None):
-        rows = [[rat(x) for x in row] for row in rows]
+        rows = [[Rat(x) for x in row] for row in rows]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -108,9 +95,9 @@ class RationalMatrix:
         # Over the lcm of the reduced denominators the pair is already in
         # lowest terms: a prime of den divides neither the numerator nor
         # the cofactor of the entry whose denominator holds its full power.
-        den = lcm(*(int(x.denominator) for row in rows for x in row))
+        den = lcm(*(x.denominator for row in rows for x in row))
         self.num = tuple(
-            tuple(int(x.numerator) * (den // int(x.denominator)) for x in row)
+            tuple(x.numerator * (den // x.denominator) for x in row)
             for row in rows
         )
         self.den = den
@@ -258,11 +245,11 @@ class RationalMatrix:
         return RationalMatrix._of(out, other.ncols, self.den * other.den)
 
     def __mul__(self, scalar) -> "RationalMatrix":
-        s = rat(scalar)
+        s = Rat(scalar)
         return RationalMatrix._of(
-            _scaled(self.num, int(s.numerator)),
+            _scaled(self.num, s.numerator),
             self.ncols,
-            self.den * int(s.denominator),
+            self.den * s.denominator,
         )
 
     __rmul__ = __mul__
@@ -585,17 +572,16 @@ def quotient(ambient_dim: int, denominator: Subspace) -> QuotientPresentation:
     """
     if denominator.ambient_dim != ambient_dim:
         raise ValueError("denominator lives in the wrong space")
-    pivot_set = set(denominator.pivot_rows)
-    free_rows = [i for i in range(ambient_dim) if i not in pivot_set]
-    reps = RationalMatrix.identity(ambient_dim).take(range(ambient_dim), free_rows)
-    w = denominator.dim
-    if w == 0:
-        reduction = RationalMatrix.identity(ambient_dim)
-    else:
-        # v = W a + R b uniquely; the reduction reads off b.
-        B = RationalMatrix.hstack([denominator.basis, reps])
-        Binv = inverse(B)
-        reduction = Binv.take(range(w, ambient_dim), range(ambient_dim))
+    pivots = denominator.pivot_rows
+    pivot_set = set(pivots)
+    free = [i for i in range(ambient_dim) if i not in pivot_set]
+    rows = range(ambient_dim)
+    eye = RationalMatrix.identity(ambient_dim)
+    reps = eye.take(rows, free)
+    # v = W a + R b uniquely.  W is the identity on the pivot rows and R
+    # is zero there, so a = v[pivots] and b = v[free] - W[free] a.
+    W = denominator.basis
+    reduction = eye.take(free, rows) - W.take(free, range(W.ncols)) @ eye.take(pivots, rows)
     return QuotientPresentation(ambient_dim, denominator, reps, reduction)
 
 

@@ -22,11 +22,8 @@ from typing import Optional, Sequence
 
 from .linalg import (
     NoSolution,
-    ONE,
-    Rat,
     RationalMatrix,
     Subspace,
-    ZERO,
     VerificationFailure,
     image_basis,
     inverse,
@@ -95,13 +92,16 @@ def zero_module(algebra: TruncatedAlgebra) -> LambdaModule:
 
 
 def _shift_blocks(sizes: Sequence[int], total: int) -> RationalMatrix:
-    rows = [[ZERO] * total for _ in range(total)]
+    """X of the cyclic blocks of the given sizes: each block's basis
+    vectors go one to the next, and the last to zero.  Column total of
+    the identity of size total + 1 is zero in rows 0..total-1."""
+    cols = []
     off = 0
     for j in sizes:
-        for t in range(j - 1):
-            rows[off + t + 1][off + t] = ONE
         off += j
-    return RationalMatrix(rows, total)
+        cols += range(off - j + 1, off)
+        cols.append(total)
+    return RationalMatrix.identity(total + 1).take(range(total), cols)
 
 
 def free_module(algebra: TruncatedAlgebra, blocks: int) -> LambdaModule:
@@ -571,7 +571,7 @@ def extend_along_mono(
         if null.ncols:
             shift = RationalMatrix(
                 [
-                    [Rat(rng.randint(-3, 3)) for _ in range(null.ncols)]
+                    [rng.randint(-3, 3) for _ in range(null.ncols)]
                     for _ in range(blocks)
                 ],
                 null.ncols,

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Rat, RationalMatrix, VerificationFailure, rank
+from .linalg import RationalMatrix, VerificationFailure, rank
 from .complexes import (
     ChainMap,
     ModuleComplex,
@@ -332,7 +332,7 @@ def cylinder_resolution(J: Resolution, splitting: ResolutionSplitting, i: int) -
         J.objects[i + 1 : i + h + 2], J.complex.differentials[i + 1 : i + h + 1]
     )
     thetas = [
-        Rat((-1) ** (p + 1)) * RationalMatrix.identity(J.objects[i + p + 1].dim)
+        RationalMatrix.identity(J.objects[i + p + 1].dim) * (-1) ** (p + 1)
         for p in range(h)
     ]
     aug = RationalMatrix.vstack(

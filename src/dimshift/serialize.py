@@ -11,29 +11,18 @@ from __future__ import annotations
 import json
 from typing import Union
 
-from .linalg import RationalMatrix, rat
+from .linalg import RationalMatrix
 from .modules import LambdaModule, ModuleMap, TruncatedAlgebra
 from .complexes import ModuleComplex, VectorComplex
 from .resolutions import Resolution
 
 
-def rational_to_str(x) -> str:
-    x = rat(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def str_to_rational(s: str):
-    return rat(s)
-
-
 def matrix_to_lists(M: RationalMatrix) -> list:
-    return [[rational_to_str(x) for x in row] for row in M.rows]
+    return [[str(x) for x in row] for row in M.rows]
 
 
 def matrix_from_lists(rows: list, ncols: int) -> RationalMatrix:
-    return RationalMatrix([[rat(x) for x in row] for row in rows], ncols)
+    return RationalMatrix(rows, ncols)
 
 
 def module_to_json(M: LambdaModule) -> dict:

@@ -38,6 +38,20 @@ def fraction_rref(rows):
     return rows, pivots
 
 
+def fraction_inverse(rows):
+    """Inverse of a square matrix of plain Fraction rows, read off the
+    reduced form of [A | I]."""
+    n = len(rows)
+    augmented = [
+        list(row) + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    reduced, pivots = fraction_rref(augmented)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular")
+    return [row[n:] for row in reduced]
+
+
 def gauss_rank(rows):
     """Rank by fraction-exact Gauss-Jordan elimination."""
     return len(fraction_rref(rows)[1])

@@ -8,7 +8,7 @@ test prints.  A failed assertion carries the same line.
 import random
 import time
 
-from dimshift.linalg import RationalMatrix, rat
+from dimshift.linalg import Rat, RationalMatrix
 from dimshift.modules import (
     FunctorSpec,
     LambdaModule,
@@ -87,7 +87,7 @@ def test_criterion_2_worked_example(capsys):
         c = comparison_iso(F, k, J, n, registry)
         d = dimension_shift_iso(F, k, J, n, registry)
         ok = ok and c == RationalMatrix.identity(1)
-        ok = ok and d == RationalMatrix([[rat(sign_factor(n))]], 1)
+        ok = ok and d == RationalMatrix([[Rat(sign_factor(n))]], 1)
         # Independent oracle: F of the resolution is the socle complex,
         # whose ranks are recomputed from scratch.
         FJ = apply_F_complex(F, registry.resolution(k, n + 1).complex)
@@ -217,7 +217,7 @@ def test_criterion_6_structural_property_suites(capsys):
     for _ in range(100):
         r, c = rng.randint(1, 7), rng.randint(1, 7)
         A = RationalMatrix(
-            [[rat(rng.randint(-4, 4)) for _ in range(c)] for _ in range(r)], c
+            [[Rat(rng.randint(-4, 4)) for _ in range(c)] for _ in range(r)], c
         )
         ok = ok and rank(A) + kernel_basis(A).ncols == A.ncols
         ok = ok and rank(A) == gauss_rank(frac_rows(A))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dimshift.linalg import RationalMatrix, VerificationFailure, rank, rat, solve_matrix
+from dimshift.linalg import Rat, RationalMatrix, VerificationFailure, rank, solve_matrix
 from dimshift.modules import FunctorSpec
 from dimshift.complexes import (
     ChainMap,
@@ -34,7 +34,7 @@ from dimshift.resolutions import ResolutionRegistry
 def M(rows, ncols=None):
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    return RationalMatrix([[rat(x) for x in r] for r in rows], ncols)
+    return RationalMatrix([[Rat(x) for x in r] for r in rows], ncols)
 
 
 def zeros(r, c):

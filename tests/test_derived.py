@@ -5,13 +5,13 @@ import random
 import pytest
 
 from dimshift.linalg import (
+    Rat,
     RationalMatrix,
     Subspace,
     VerificationFailure,
     kernel_basis,
     quotient,
     rank,
-    rat,
     solve_matrix,
 )
 from dimshift.modules import (
@@ -232,7 +232,7 @@ def ses_endomorphism(E, rng):
     constraint = RationalMatrix.from_columns(cols, Q.dim * E.sub.dim)
     K = kernel_basis(constraint)
     assert K.ncols >= 1  # the identity always preserves the sub term
-    coeffs = RationalMatrix.column_vector([rat(rng.randint(-2, 2)) for _ in range(K.ncols)])
+    coeffs = RationalMatrix.column_vector([Rat(rng.randint(-2, 2)) for _ in range(K.ncols)])
     b = ModuleMap(E.mid, E.mid, basis.from_coordinates((K @ coeffs).column(0)))
     a_matrix = solve_matrix(iota.matrix, b.matrix @ iota.matrix)
     a = ModuleMap(E.sub, E.sub, a_matrix)
@@ -324,7 +324,7 @@ def test_worked_example_signs_through_degree_six(alg2, k2):
         c = comparison_iso(F, k2, J, n, registry)
         d = dimension_shift_iso(F, k2, J, n, registry)
         assert c == RationalMatrix.identity(1)
-        assert d == RationalMatrix([[rat(sign_factor(n))]], 1)
+        assert d == RationalMatrix([[Rat(sign_factor(n))]], 1)
 
 
 def test_shift_iso_is_independent_of_chase_choices():
@@ -353,7 +353,7 @@ def test_sign_identity_on_padded_resolutions():
         report = verify_sign_identity(F, Mod, J, n, registry, rng)
         assert report.verdict, report.mismatch
         assert report.shifted == RationalMatrix(
-            [[rat(report.sign) * x for x in row] for row in report.comparison.rows],
+            [[Rat(report.sign) * x for x in row] for row in report.comparison.rows],
             report.comparison.ncols,
         )
 

@@ -19,18 +19,24 @@ from dimshift.linalg import (
     kernel_basis,
     quotient,
     rank,
-    rat,
     rcef,
     rref,
     solve_matrix,
 )
 
-from fraction_oracle import frac_rows, fraction_rref, gauss_rank, matrix_rank, nullity
+from fraction_oracle import (
+    frac_rows,
+    fraction_inverse,
+    fraction_rref,
+    gauss_rank,
+    matrix_rank,
+    nullity,
+)
 
 
 def M(rows):
     ncols = len(rows[0]) if rows else 0
-    return RationalMatrix([[rat(x) for x in r] for r in rows], ncols)
+    return RationalMatrix([[Rat(x) for x in r] for r in rows], ncols)
 
 
 def col(*entries):
@@ -57,7 +63,7 @@ def matrices(max_rows=5, max_cols=5):
 def test_kernel_of_projection_is_second_axis():
     K = kernel_basis(M([[1, 0], [0, 0]]))
     assert K.ncols == 1
-    assert K.column(0) == (rat(0), rat(1))
+    assert K.column(0) == (Rat(0), Rat(1))
 
 
 def test_kernel_of_zero_matrix_is_everything():
@@ -72,7 +78,7 @@ def test_image_of_identity_is_everything():
 def test_image_of_projection_is_first_axis():
     B = image_basis(M([[1, 0], [0, 0]]))
     assert B.ncols == 1
-    assert B.column(0) == (rat(1), rat(0))
+    assert B.column(0) == (Rat(1), Rat(0))
 
 
 def test_solve_in_image():
@@ -231,10 +237,10 @@ def test_inverse_round_trip_and_singular_failure():
 
 
 def test_rational_arithmetic_is_exact():
-    third = rat(1) / rat(3)
-    assert third * rat(3) == rat(1)
+    third = Rat(1) / Rat(3)
+    assert third * Rat(3) == Rat(1)
     A = M([[1, 1], [0, 1]]) * third
-    assert (A * rat(3)).entry(0, 0) == Rat(1)
+    assert (A * Rat(3)).entry(0, 0) == Rat(1)
 
 
 def test_block_diagonal_places_blocks_and_empty_blocks():
@@ -463,3 +469,22 @@ def test_elimination_agrees_with_the_fraction_oracle(case):
     assert G @ inverse(G) == I and inverse(G) @ G == I
     if A.nrows == A.ncols == len(pivots):
         assert A @ inverse(A) == RationalMatrix.identity(A.nrows)
+
+
+@st.composite
+def quotient_cases(draw):
+    """Columns spanning a subspace of Q^r, r >= 1."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    return oracle_matrix(draw, r, c)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(quotient_cases())
+def test_quotient_reduction_is_the_tail_of_the_inverse_of_basis_and_representatives(A):
+    # v = W a + R b uniquely, so the rows of [W | R]^-1 past w read off b.
+    Q = quotient(A.nrows, Subspace.from_columns(A))
+    W = Q.denominator.basis
+    basis_and_reps = [
+        w + r for w, r in zip(frac_rows(W), frac_rows(Q.representative_basis))
+    ]
+    assert frac_rows(Q.reduction_map) == fraction_inverse(basis_and_reps)[W.ncols:]

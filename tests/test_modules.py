@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dimshift.linalg import RationalMatrix, VerificationFailure, kernel_basis, rank, rat
+from dimshift.linalg import Rat, RationalMatrix, VerificationFailure, kernel_basis, rank
 from dimshift.modules import (
     FunctorSpec,
     LambdaModule,
@@ -35,7 +35,7 @@ from dimshift.modules import (
 )
 from dimshift.harness import GeneratorConfig, gen_random_map, gen_random_module
 
-from fraction_oracle import intertwiner_space_dim, socle_dim
+from fraction_oracle import block_sizes, intertwiner_space_dim, socle_dim
 
 
 def x_multiplication(M):
@@ -98,7 +98,7 @@ def test_length_two_cyclic_over_m_three_embeds_as_multiplication_by_x(alg3):
     C = cyclic_module(alg3, 2)
     mono = embed_into_injective(C)
     expected = RationalMatrix(
-        [[rat(0), rat(0)], [rat(1), rat(0)], [rat(0), rat(1)]], 2
+        [[Rat(0), Rat(0)], [Rat(1), Rat(0)], [Rat(0), Rat(1)]], 2
     )
     assert mono.dst.dim == 3
     assert mono.matrix == expected
@@ -114,7 +114,7 @@ def test_functor_sends_identity_to_identity(alg2, k2, lam2):
 def test_functor_kills_multiplication_by_x_on_the_free_module(alg2, k2, lam2):
     F = FunctorSpec(alg2, k2)
     assert apply_F_map(F, x_multiplication(lam2)) == RationalMatrix(
-        [[rat(0)]], 1
+        [[Rat(0)]], 1
     )
 
 
@@ -192,7 +192,7 @@ def test_hom_basis_elements_intertwine_and_coordinates_round_trip():
             assert el @ A.X == B.X @ el
             coords = basis.coordinates(el)
             assert coords == tuple(
-                rat(1) if j == i else rat(0) for j in range(basis.dim)
+                Rat(1) if j == i else Rat(0) for j in range(basis.dim)
             )
         f = gen_random_map(A, B, rng)
         assert basis.from_coordinates(basis.coordinates(f.matrix)) == f.matrix
@@ -209,6 +209,22 @@ def test_canonical_form_conjugates_to_the_block_shift():
             assert list(cf.block_sizes) == sorted(cf.block_sizes, reverse=True)
             assert sum(cf.block_sizes) == Mod.dim
             assert cf.P_inv @ (Mod.X @ cf.P) == _shift_blocks(cf.block_sizes, Mod.dim)
+
+
+@pytest.mark.parametrize("sizes", [(), (1,), (1, 1, 1), (2, 2), (3, 1, 2)])
+def test_shift_blocks_shifts_within_each_block(sizes):
+    total = sum(sizes)
+    expected = [[0] * total for _ in range(total)]
+    off = 0
+    for j in sizes:
+        for t in range(j - 1):
+            expected[off + t + 1][off + t] = 1
+        off += j
+    X = _shift_blocks(sizes, total)
+    assert (X.nrows, X.ncols) == (total, total)
+    assert [list(row) for row in X.rows] == expected
+    algebra = TruncatedAlgebra(max((2, *sizes)))
+    assert block_sizes(LambdaModule(algebra, X)) == sorted(sizes)
 
 
 def test_injectivity_matches_full_length_blocks():
@@ -328,13 +344,13 @@ def test_extension_into_the_zero_module(alg2, k2):
 
 def test_module_map_constructor_rejects_non_intertwiners(alg2, k2, lam2):
     with pytest.raises(VerificationFailure, match="does not intertwine"):
-        ModuleMap(lam2, k2, RationalMatrix([[rat(0), rat(1)]], 2))
+        ModuleMap(lam2, k2, RationalMatrix([[Rat(0), Rat(1)]], 2))
 
 
 def test_nilpotency_is_enforced(alg2):
     with pytest.raises(VerificationFailure, match="not nilpotent"):
-        LambdaModule(alg2, RationalMatrix([[rat(0), rat(1)], [rat(1), rat(0)]], 2))
+        LambdaModule(alg2, RationalMatrix([[Rat(0), Rat(1)], [Rat(1), Rat(0)]], 2))
     # The same operator is welcome at a deeper truncation when nilpotent.
     LambdaModule(TruncatedAlgebra(3), RationalMatrix(
-        [[rat(0), rat(0)], [rat(1), rat(0)]], 2
+        [[Rat(0), Rat(0)], [Rat(1), Rat(0)]], 2
     ))

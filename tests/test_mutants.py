@@ -61,3 +61,19 @@ def test_a_negated_connecting_map_fails_the_sign_suite(monkeypatch):
     snake = derived.snake_delta_matrix
     monkeypatch.setattr(derived, "snake_delta_matrix", lambda *args: -snake(*args))
     assert main(SIGN) == 1
+
+
+def test_a_negated_connecting_map_fails_only_the_shift_steps(monkeypatch, tmp_path):
+    # A global sign on every connecting map keeps every square
+    # commuting, so the connecting suite passes; the step signs see it.
+    snake = derived.snake_delta_matrix
+    monkeypatch.setattr(derived, "snake_delta_matrix", lambda *args: -snake(*args))
+    out = tmp_path / "report.json"
+    assert main(LEMMAS + ["--output", str(out)]) == 1
+    trials = json.loads(out.read_text())["trials"]
+    connecting = [t for t in trials if t["part"] == "connecting"]
+    steps = [t for t in trials if t["part"] == "steps"]
+    assert connecting and steps
+    for t in connecting:
+        assert (t["square"], t["independent"], t["verdict"]) == ("pass", "pass", "pass")
+    assert any(t["verdict"] == "fail" for t in steps)

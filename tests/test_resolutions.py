@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dimshift.linalg import RationalMatrix, VerificationFailure, rat
+from dimshift.linalg import Rat, RationalMatrix, VerificationFailure
 from dimshift.modules import (
     FunctorSpec,
     TruncatedAlgebra,
@@ -287,7 +287,7 @@ def test_cylinder_structure_over_the_standard_resolution(k2, registry):
     d0 = L.complex.differentials[0].matrix
     for i in range(2):
         for j in range(2):
-            assert d0.entry(i, 2 + j) == (rat(-1) if i == j else rat(0))
+            assert d0.entry(i, 2 + j) == (Rat(-1) if i == j else Rat(0))
 
 
 def test_cylinder_sides_are_the_shifted_tails(k2, registry):

@@ -3,7 +3,7 @@
 import json
 import random
 
-from dimshift.linalg import RationalMatrix, rat
+from dimshift.linalg import Rat, RationalMatrix
 from dimshift.serialize import (
     complex_to_json,
     dumps,
@@ -13,24 +13,22 @@ from dimshift.serialize import (
     module_map_from_json,
     module_map_to_json,
     module_to_json,
-    rational_to_str,
     report_to_markdown,
     resolution_to_json,
-    str_to_rational,
 )
 from dimshift.harness import GeneratorConfig, gen_random_map, gen_random_module
 from dimshift.resolutions import ResolutionRegistry
 
 
 def test_rational_strings_round_trip():
-    for x in (rat(0), rat(5), rat(-3), rat(1) / rat(2), rat(-7) / rat(3)):
-        assert str_to_rational(rational_to_str(x)) == x
-    assert rational_to_str(rat(4)) == "4"
-    assert rational_to_str(rat(-1) / rat(2)) == "-1/2"
+    values = (Rat(0), Rat(5), Rat(-3), Rat(1) / Rat(2), Rat(-7) / Rat(3), Rat(4))
+    (strings,) = matrix_to_lists(RationalMatrix([values], len(values)))
+    assert strings == ["0", "5", "-3", "1/2", "-7/3", "4"]
+    assert [Rat(s) for s in strings] == list(values)
 
 
 def test_matrix_round_trip():
-    M = RationalMatrix([[rat(1) / rat(2), rat(0)], [rat(-3), rat(7)]], 2)
+    M = RationalMatrix([[Rat(1) / Rat(2), Rat(0)], [Rat(-3), Rat(7)]], 2)
     assert matrix_from_lists(matrix_to_lists(M), 2) == M
     empty = RationalMatrix.zeros(0, 3)
     assert matrix_from_lists(matrix_to_lists(empty), 3) == empty

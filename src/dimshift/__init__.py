@@ -43,7 +43,6 @@ from .modules import (
     extend_along_mono,
     free_module,
     hom_basis,
-    hom_space,
     identity_map,
     image_factorization,
     is_injective,
@@ -63,7 +62,6 @@ from .complexes import (
     apply_F_complex,
     apply_F_ses,
     cohomology,
-    compose_chain_maps,
     find_homotopy,
     homotopy_defect,
     identity_chain_map,
@@ -81,7 +79,6 @@ from .resolutions import (
     is_F_acyclic,
     lift_resolution_map,
     split_resolution,
-    truncated_shift,
 )
 from .derived import (
     ConnectingSquareReport,

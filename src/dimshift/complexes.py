@@ -1,11 +1,13 @@
-"""Bounded cochain complexes in degrees [0, horizon], at two levels.
+"""Bounded cochain complexes in degrees [0, horizon].
 
-A ModuleComplex has modules over k[x]/(x^m) in each degree and module
-maps as differentials; a VectorComplex is the plain rational shadow,
-which is what applying Hom(A, -) produces.  Cohomology is presented
-with explicit cocycle bases and chosen representatives so that every
-induced map is a concrete matrix, compared entrywise with no
-tolerance.
+A VectorComplex is dims per degree and rational matrices as
+differentials; its constructor is the one place that checks the
+shapes and d o d = 0.  A ModuleComplex is a VectorComplex that also
+carries a module over k[x]/(x^m) in each degree and the module maps
+whose matrices are its differentials; applying Hom(A, -) to it gives
+a plain VectorComplex.  Cohomology is presented with explicit
+cocycle bases and chosen representatives so that every induced map is
+a concrete matrix, compared entrywise with no tolerance.
 
 The connecting map of a degreewise short exact sequence of complexes
 is computed by the usual chase: lift through the epimorphism, apply
@@ -47,7 +49,11 @@ NotHomotopic = Sentinel("NotHomotopic")
 
 
 class VectorComplex:
-    """Rational cochain complex: dims per degree, d(p): C^p -> C^(p+1)."""
+    """Rational cochain complex: dims per degree, d(p): C^p -> C^(p+1).
+
+    The one place where a complex is checked: one differential per
+    adjacent pair of degrees, each of the right shape, and d o d = 0.
+    """
 
     __slots__ = ("dims", "differentials")
 
@@ -65,6 +71,10 @@ class VectorComplex:
         self.dims = dims
         self.differentials = differentials
 
+    def _parts(self) -> tuple:
+        """The constructor's arguments: one entry per degree, one per edge."""
+        return self.dims, self.differentials
+
     @property
     def horizon(self) -> int:
         return len(self.dims) - 1
@@ -79,72 +89,44 @@ class VectorComplex:
             return RationalMatrix.zeros(self.dims[0], 0)
         raise ValueError("degree out of range")
 
-    def truncate(self, horizon: int) -> "VectorComplex":
-        if horizon > self.horizon:
-            raise ValueError("cannot extend by truncation")
-        return VectorComplex(self.dims[: horizon + 1], self.differentials[:horizon])
+    def slice(self, lo: int, hi: int):
+        """Degrees lo..hi as a complex of the same kind, re-checked."""
+        if not 0 <= lo <= hi <= self.horizon:
+            raise ValueError("slice out of range")
+        nodes, edges = self._parts()
+        return type(self)(nodes[lo : hi + 1], edges[lo:hi])
+
+    def truncate(self, horizon: int):
+        return self.slice(0, horizon)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VectorComplex)
-            and self.dims == other.dims
-            and self.differentials == other.differentials
-        )
+        return type(other) is type(self) and self._parts() == other._parts()
 
     def __hash__(self):
         return hash((self.dims, self.differentials))
 
     def __repr__(self):
-        return f"VectorComplex(dims={list(self.dims)})"
+        return f"{type(self).__name__}(dims={list(self.dims)})"
 
 
-class ModuleComplex:
-    """Cochain complex of modules with intertwining differentials."""
+class ModuleComplex(VectorComplex):
+    """Cochain complex of modules: the vector complex of its differential
+    matrices, plus the modules in each degree and the intertwining maps."""
 
-    __slots__ = ("objects", "differentials")
+    __slots__ = ("objects", "maps")
 
-    def __init__(self, objects: Sequence[LambdaModule], differentials: Sequence[ModuleMap]):
+    def __init__(self, objects: Sequence[LambdaModule], maps: Sequence[ModuleMap]):
         objects = tuple(objects)
-        differentials = tuple(differentials)
-        if len(differentials) != len(objects) - 1:
-            raise ValueError("need exactly one differential per adjacent pair")
-        for p, d in enumerate(differentials):
-            if d.src != objects[p] or d.dst != objects[p + 1]:
+        maps = tuple(maps)
+        for p, (d, A, B) in enumerate(zip(maps, objects, objects[1:])):
+            if d.src != A or d.dst != B:
                 raise ValueError(f"differential {p} has the wrong endpoints")
-        for p in range(len(differentials) - 1):
-            if not (differentials[p + 1].matrix @ differentials[p].matrix).is_zero():
-                raise VerificationFailure(f"d o d is nonzero in degree {p}")
+        super().__init__([M.dim for M in objects], [d.matrix for d in maps])
         self.objects = objects
-        self.differentials = differentials
+        self.maps = maps
 
-    @property
-    def horizon(self) -> int:
-        return len(self.objects) - 1
-
-    def truncate(self, horizon: int) -> "ModuleComplex":
-        if horizon > self.horizon:
-            raise ValueError("cannot extend by truncation")
-        return ModuleComplex(self.objects[: horizon + 1], self.differentials[:horizon])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModuleComplex)
-            and self.objects == other.objects
-            and self.differentials == other.differentials
-        )
-
-    def __hash__(self):
-        return hash((self.objects, tuple(d.matrix for d in self.differentials)))
-
-    def __repr__(self):
-        return f"ModuleComplex(dims={[M.dim for M in self.objects]})"
-
-
-def _matrices(C) -> tuple:
-    """The differentials of either kind of complex as plain matrices."""
-    if isinstance(C, ModuleComplex):
-        return tuple(d.matrix for d in C.differentials)
-    return C.differentials
+    def _parts(self) -> tuple:
+        return self.objects, self.maps
 
 
 class ChainMap:
@@ -169,9 +151,8 @@ class ChainMap:
                 ModuleMap(src.objects[p], dst.objects[p], comp)  # validates
             elif (comp.nrows, comp.ncols) != (dst.dims[p], src.dims[p]):
                 raise ValueError(f"component {p} has the wrong shape")
-        src_diffs, dst_diffs = _matrices(src), _matrices(dst)
         for p in range(src.horizon):
-            if components[p + 1] @ src_diffs[p] != dst_diffs[p] @ components[p]:
+            if components[p + 1] @ src.differentials[p] != dst.differentials[p] @ components[p]:
                 raise VerificationFailure(f"square at degree {p} does not commute")
         self.src = src
         self.dst = dst
@@ -208,20 +189,8 @@ class ChainMap:
         return f"ChainMap(horizon={self.horizon})"
 
 
-def identity_chain_map(C) -> ChainMap:
-    if isinstance(C, ModuleComplex):
-        comps = [RationalMatrix.identity(M.dim) for M in C.objects]
-    else:
-        comps = [RationalMatrix.identity(d) for d in C.dims]
-    return ChainMap(C, C, comps)
-
-
-def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
-    if f.dst != g.src:
-        raise ValueError("chain maps do not compose")
-    return ChainMap(
-        f.src, g.dst, [a @ b for a, b in zip(g.components, f.components)]
-    )
+def identity_chain_map(C: VectorComplex) -> ChainMap:
+    return ChainMap(C, C, [RationalMatrix.identity(d) for d in C.dims])
 
 
 class SesOfComplexes:
@@ -378,7 +347,7 @@ def induced_on_cohomology(f: ChainMap, n: int) -> RationalMatrix:
 def apply_F_complex(F: FunctorSpec, C: ModuleComplex) -> VectorComplex:
     return VectorComplex(
         [apply_F_object(F, M).dim for M in C.objects],
-        [apply_F_map(F, d) for d in C.differentials],
+        [apply_F_map(F, d) for d in C.maps],
     )
 
 
@@ -464,22 +433,21 @@ def find_homotopy(f: ChainMap, g: ChainMap, rng: Optional[random.Random] = None)
         raise ValueError("chain maps with different endpoints")
     e = f - g
     src, dst = f.src, f.dst
-    src_d, dst_d = _matrices(src), _matrices(dst)
     h = [RationalMatrix.zeros(0, e.components[0].ncols)]
     for p in range(src.horizon):
         # Solve h(p+1) o d(p) = r, the part of f - g that d o h(p) leaves.
-        r = e.components[p] - dst_d[p - 1] @ h[p] if p else e.components[0]
+        r = e.components[p] - dst.differentials[p - 1] @ h[p] if p else e.components[0]
         if f.is_module_level():
             if not is_injective(dst.objects[p]):
                 raise VerificationFailure(
                     "module-level homotopy needs injective targets below the horizon"
                 )
-            d = src.differentials[p]
+            d = src.maps[p]
             if not (r @ kernel_basis(d.matrix)).is_zero():
                 return NotHomotopic
             h.append(extend_along_mono(d, ModuleMap(d.src, dst.objects[p], r), rng).matrix)
             continue
-        dT = src_d[p].transpose()
+        dT = src.differentials[p].transpose()
         sol = solve_matrix(dT, r.transpose())
         if sol is NoSolution:
             return NotHomotopic
@@ -494,10 +462,9 @@ def find_homotopy(f: ChainMap, g: ChainMap, rng: Optional[random.Random] = None)
 
 def homotopy_defect(f: ChainMap, g: ChainMap, h: Sequence[RationalMatrix], degree: int) -> RationalMatrix:
     """(f - g) - (d o h + h o d) in one degree; zero when h works there."""
-    src_d, dst_d = _matrices(f.src), _matrices(f.dst)
     e = f.components[degree] - g.components[degree]
     if degree > 0:
-        e = e - dst_d[degree - 1] @ h[degree]
+        e = e - f.dst.differentials[degree - 1] @ h[degree]
     if degree < f.src.horizon:
-        e = e - h[degree + 1] @ src_d[degree]
+        e = e - h[degree + 1] @ f.src.differentials[degree]
     return e

@@ -381,18 +381,6 @@ def hom_basis(A: LambdaModule, B: LambdaModule) -> HomBasis:
     return HomBasis(A, B)
 
 
-def hom_space(A: LambdaModule, B: LambdaModule) -> Subspace:
-    """Hom(A, B) as a subspace of row-major flattened matrices."""
-    basis = hom_basis(A, B)
-    flats = []
-    for i in range(basis.dim):
-        el = basis.element(i)
-        flats.append([x for row in el.rows for x in row])
-    return Subspace.from_columns(
-        RationalMatrix.from_columns(flats, A.dim * B.dim)
-    )
-
-
 # ---------------------------------------------------------------------------
 # The functor F = Hom(A, -).
 

@@ -58,9 +58,9 @@ class Resolution:
             raise ValueError("augmentation must run from the base into degree zero")
         if rank(augmentation.matrix) != base.dim:
             raise VerificationFailure("augmentation is not injective")
-        ranks = [rank(d.matrix) for d in complex.differentials]
+        ranks = [rank(d) for d in complex.differentials]
         if complex.horizon >= 1:
-            if not (complex.differentials[0].matrix @ augmentation.matrix).is_zero():
+            if not (complex.differentials[0] @ augmentation.matrix).is_zero():
                 raise VerificationFailure("differential does not kill the base")
         incoming = base.dim
         for p in range(complex.horizon):
@@ -89,7 +89,7 @@ class Resolution:
         return self.complex.objects
 
     def differential(self, p: int) -> ModuleMap:
-        return self.complex.differentials[p]
+        return self.complex.maps[p]
 
     def truncate(self, horizon: int) -> "Resolution":
         if horizon == self.horizon:
@@ -190,18 +190,6 @@ def split_resolution(J: Resolution, depth: int) -> ResolutionSplitting:
     )
 
 
-def truncated_shift(J: Resolution, splitting: ResolutionSplitting, i: int) -> Resolution:
-    """The tail J^i -> J^(i+1) -> ... as a resolution of the i-th cycles."""
-    if splitting.resolution is not J:
-        raise ValueError("splitting belongs to a different resolution")
-    if not 0 <= i <= splitting.depth:
-        raise ValueError("shift out of range")
-    if i == 0:
-        return J
-    tail = ModuleComplex(J.objects[i:], J.complex.differentials[i:])
-    return Resolution(splitting.cycles[i], splitting.inclusions[i], tail)
-
-
 # ---------------------------------------------------------------------------
 # Twisted direct sums: the horseshoe filler and the two-term cylinder.
 
@@ -230,8 +218,8 @@ def _glue(
     objects = [s.module for s in sums]
     differentials = []
     for p, (dA, theta, dB) in enumerate(zip(sub.differentials, thetas, quot.differentials)):
-        zero = RationalMatrix.zeros(dB.dst.dim, dA.src.dim)
-        block = RationalMatrix.block([[dA.matrix, theta], [zero, dB.matrix]])
+        zero = RationalMatrix.zeros(dB.nrows, dA.ncols)
+        block = RationalMatrix.block([[dA, theta], [zero, dB]])
         differentials.append(ModuleMap(objects[p], objects[p + 1], block))
     resolution = Resolution(
         base, ModuleMap(base, objects[0], aug), ModuleComplex(objects, differentials)
@@ -327,10 +315,8 @@ def cylinder_resolution(J: Resolution, splitting: ResolutionSplitting, i: int) -
     h = J.horizon - i - 1
     if h < 0:
         raise ValueError("resolution too short for a cylinder at this index")
-    head = ModuleComplex(J.objects[i : i + h + 1], J.complex.differentials[i : i + h])
-    tail = ModuleComplex(
-        J.objects[i + 1 : i + h + 2], J.complex.differentials[i + 1 : i + h + 1]
-    )
+    head = J.complex.slice(i, i + h)
+    tail = J.complex.slice(i + 1, i + h + 1)
     thetas = [
         RationalMatrix.identity(J.objects[i + p + 1].dim) * (-1) ** (p + 1)
         for p in range(h)

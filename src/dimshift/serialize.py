@@ -9,7 +9,6 @@ is what makes reports byte-for-byte reproducible.
 from __future__ import annotations
 
 import json
-from typing import Union
 
 from .linalg import RationalMatrix
 from .modules import LambdaModule, ModuleMap, TruncatedAlgebra
@@ -49,13 +48,12 @@ def module_map_from_json(data: dict) -> ModuleMap:
     return ModuleMap(src, dst, matrix_from_lists(data["f"], src.dim))
 
 
-def complex_to_json(C: Union[ModuleComplex, VectorComplex]) -> dict:
+def complex_to_json(C: VectorComplex) -> dict:
     if isinstance(C, ModuleComplex):
         objects = [module_to_json(M) for M in C.objects]
-        differentials = [matrix_to_lists(d.matrix) for d in C.differentials]
     else:
         objects = list(C.dims)
-        differentials = [matrix_to_lists(d) for d in C.differentials]
+    differentials = [matrix_to_lists(d) for d in C.differentials]
     return {"horizon": C.horizon, "objects": objects, "differentials": differentials}
 
 

@@ -153,13 +153,13 @@ def test_criterion_5_cylinder_steps(capsys):
         L = cyl.resolution
         # d o d = 0 and augmented exactness, re-checked by the oracle.
         aug = L.augmentation.matrix
-        ok = ok and (L.complex.differentials[0].matrix @ aug).is_zero()
+        ok = ok and (L.differential(0).matrix @ aug).is_zero()
         incoming = matrix_rank(aug)
         ok = ok and incoming == L.base.dim
         for q in range(L.horizon):
-            d = L.complex.differentials[q].matrix
+            d = L.differential(q).matrix
             if q + 1 <= L.horizon - 1:
-                nxt = L.complex.differentials[q + 1].matrix
+                nxt = L.differential(q + 1).matrix
                 ok = ok and (nxt @ d).is_zero()
             ok = ok and L.objects[q].dim - matrix_rank(d) == incoming
             incoming = matrix_rank(d)

@@ -5,16 +5,16 @@ import random
 import pytest
 
 from dimshift.linalg import Rat, RationalMatrix, VerificationFailure, rank, solve_matrix
-from dimshift.modules import FunctorSpec
+from dimshift.modules import FunctorSpec, identity_map
 from dimshift.complexes import (
     ChainMap,
+    ModuleComplex,
     NotHomotopic,
     SesOfComplexes,
     VectorComplex,
     apply_F_complex,
     apply_F_ses,
     cohomology,
-    compose_chain_maps,
     find_homotopy,
     homotopy_defect,
     identity_chain_map,
@@ -43,9 +43,39 @@ def zeros(r, c):
 
 # -- construction and validation ---------------------------------------------
 
-def test_complex_rejects_nonvanishing_d_squared():
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda lam2: VectorComplex((1, 1, 1), (M([[1]]), M([[1]]))),
+        lambda lam2: ModuleComplex([lam2] * 3, [identity_map(lam2)] * 2),
+    ],
+    ids=["vector", "module"],
+)
+def test_complex_rejects_nonvanishing_d_squared(build, lam2):
     with pytest.raises(VerificationFailure, match="d o d is nonzero in degree 0"):
-        VectorComplex((1, 1, 1), (M([[1]]), M([[1]])))
+        build(lam2)
+
+
+def test_module_complex_rejects_wrong_endpoints(k2, lam2):
+    with pytest.raises(ValueError, match="differential 0 has the wrong endpoints"):
+        ModuleComplex([k2, lam2], [identity_map(lam2)])
+
+
+def test_module_complex_never_equals_a_vector_complex(k2, registry):
+    C = registry.resolution(k2, 3).complex
+    V = VectorComplex(C.dims, C.differentials)
+    assert C != V and V != C
+    assert C == ModuleComplex(C.objects, C.maps)
+
+
+def test_slice_is_the_hand_built_complex(k2, registry):
+    C = registry.resolution(k2, 4).complex
+    assert C.slice(1, 3) == ModuleComplex(C.objects[1:4], C.maps[1:3])
+    assert C.slice(2, 2).horizon == 0
+    assert C.truncate(2) == C.slice(0, 2)
+    for lo, hi in ((-1, 2), (3, 2), (2, 5)):
+        with pytest.raises(ValueError, match="slice out of range"):
+            C.slice(lo, hi)
 
 
 def test_complex_rejects_shape_mismatch():
@@ -122,7 +152,8 @@ def test_induced_map_on_cohomology_is_functorial():
     g = ChainMap(C, C, (M([[0, 1], [1, 0]]), M([[1, 2], [0, 1]])))
     n = 1
     assert induced_on_cohomology(identity_chain_map(C), n) == RationalMatrix.identity(2)
-    assert induced_on_cohomology(compose_chain_maps(g, f), n) == (
+    gf = ChainMap(C, C, [a @ b for a, b in zip(g.components, f.components)])
+    assert induced_on_cohomology(gf, n) == (
         induced_on_cohomology(g, n) @ induced_on_cohomology(f, n)
     )
 

@@ -23,7 +23,6 @@ from dimshift.modules import (
     extend_along_mono,
     free_module,
     hom_basis,
-    hom_space,
     identity_map,
     image_factorization,
     is_injective,
@@ -35,7 +34,7 @@ from dimshift.modules import (
 )
 from dimshift.harness import GeneratorConfig, gen_random_map, gen_random_module
 
-from fraction_oracle import block_sizes, intertwiner_space_dim, socle_dim
+from fraction_oracle import block_sizes, frac_rows, gauss_rank, intertwiner_space_dim, socle_dim
 
 
 def x_multiplication(M):
@@ -154,8 +153,14 @@ def test_hom_dimension_against_dense_oracle():
         for _ in range(25):
             A = gen_random_module(cfg, rng)
             B = gen_random_module(cfg, rng)
-            assert hom_basis(A, B).dim == intertwiner_space_dim(A, B)
-            assert hom_space(A, B).dim == hom_basis(A, B).dim
+            basis = hom_basis(A, B)
+            expected = intertwiner_space_dim(A, B)
+            assert basis.dim == expected
+            flats = [
+                [x for row in frac_rows(basis.element(i)) for x in row]
+                for i in range(basis.dim)
+            ]
+            assert gauss_rank(flats) == expected
 
 
 def test_socle_oracle_for_maps_from_the_simple_module():

@@ -85,3 +85,11 @@ def test_padded_resolution_dump_is_pinned(capsys):
     assert main(["dump", "--what", "resolution", "--seed", "0", "--max-dim", "5"]) == 0
     out = capsys.readouterr().out
     assert sha256(out) == "8be9b45064a250471da8b0dad6f370c48e9f319b4a56f40cd71419b8abebc72d"
+
+
+def test_functor_complex_dump_is_pinned(capsys):
+    # The vector-level branch of complex_to_json: horizon 4, dims
+    # [10, 8, 4, 8, 8], 16 nonzero differential entries.
+    assert main(["dump", "--what", "fcomplex", "--seed", "0", "--max-dim", "5"]) == 0
+    out = capsys.readouterr().out
+    assert sha256(out) == "67595ebe59798d09459ab60c84369cb970bbe0dda368e4ee557a1f219f23fb12"

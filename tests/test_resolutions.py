@@ -33,7 +33,6 @@ from dimshift.resolutions import (
     is_F_acyclic,
     lift_resolution_map,
     split_resolution,
-    truncated_shift,
 )
 from dimshift.harness import (
     GeneratorConfig,
@@ -43,7 +42,7 @@ from dimshift.harness import (
     gen_random_ses,
 )
 
-from fraction_oracle import matrix_rank
+from fraction_oracle import is_exact_at, matrix_rank
 
 
 # -- the deterministic resolution --------------------------------------------
@@ -81,7 +80,7 @@ def test_resolution_exactness_confirmed_by_the_oracle():
             incoming = matrix_rank(R.augmentation.matrix)
             assert incoming == Mod.dim
             for p in range(R.horizon):
-                d = R.complex.differentials[p].matrix
+                d = R.differential(p).matrix
                 assert R.objects[p].dim - matrix_rank(d) == incoming
                 incoming = matrix_rank(d)
 
@@ -105,8 +104,8 @@ def test_registry_resolutions_of_cyclic_modules_are_periodic():
         for a in range(1, m):
             R = registry.resolution(cyclic_module(algebra, a), 5)
             assert [J.dim for J in R.objects] == [m] * 6
-            for p, d in enumerate(R.complex.differentials):
-                assert matrix_rank(d.matrix) == (m - a if p % 2 == 0 else a)
+            for p in range(R.horizon):
+                assert matrix_rank(R.differential(p).matrix) == (m - a if p % 2 == 0 else a)
 
 
 def test_registry_returns_aligned_slices(k2):
@@ -150,32 +149,18 @@ def test_splitting_reconstructs_padded_resolutions():
             assert compose(S.inclusions[q + 1], S.corestrictions[q]) == J.differential(q)
 
 
-def test_truncated_shift_at_zero_is_the_resolution_itself(k2, registry):
-    R = registry.resolution(k2, 3)
-    S = split_resolution(R, 2)
-    assert truncated_shift(R, S, 0) is R
-
-
-def test_truncated_shift_of_the_standard_resolution_is_periodic(k2, registry):
-    R = registry.resolution(k2, 4)
-    S = split_resolution(R, 2)
-    K2 = truncated_shift(R, S, 2)
-    assert K2.base.dim == 1
-    assert [J.dim for J in K2.objects] == [2, 2, 2]
-    assert K2.complex.differentials[0] == R.complex.differentials[2]
-
-
-def test_truncated_shift_is_exact_on_padded_input():
+def test_cycles_begin_exact_tails_on_padded_input():
+    # 0 -> cycles[i] -> J^i -> J^(i+1) is exact: the i-th cycles are
+    # resolved by the tail of J from degree i on.
     rng = random.Random(63)
     cfg = GeneratorConfig(seed=0, m=3, max_dim=5, max_padding=2)
     registry = ResolutionRegistry()
     Mod = gen_random_module(cfg, rng)
     J = gen_padded_resolution(Mod, 4, cfg, rng, registry)
     S = split_resolution(J, 3)
-    for i in range(1, 4):
-        K = truncated_shift(J, S, i)  # the constructor re-checks exactness
-        assert K.base == S.cycles[i]
-        assert K.horizon == J.horizon - i
+    for i in range(1, S.depth + 1):
+        assert is_exact_at(S.inclusions[i].matrix, J.differential(i).matrix)
+        assert matrix_rank(S.inclusions[i].matrix) == S.cycles[i].dim
 
 
 # -- horseshoe ---------------------------------------------------------------
@@ -284,7 +269,7 @@ def test_cylinder_structure_over_the_standard_resolution(k2, registry):
     assert top == RationalMatrix.identity(2)
     assert bottom == R.differential(0).matrix
     # First differential: top-right block is minus the identity.
-    d0 = L.complex.differentials[0].matrix
+    d0 = L.differential(0).matrix
     for i in range(2):
         for j in range(2):
             assert d0.entry(i, 2 + j) == (Rat(-1) if i == j else Rat(0))

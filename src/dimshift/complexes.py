@@ -90,11 +90,15 @@ class VectorComplex:
         raise ValueError("degree out of range")
 
     def slice(self, lo: int, hi: int):
-        """Degrees lo..hi as a complex of the same kind, re-checked."""
+        """Degrees lo..hi as a complex of the same kind.  This complex
+        passed its constructor and is immutable, so the slice is built
+        with no second check."""
         if not 0 <= lo <= hi <= self.horizon:
             raise ValueError("slice out of range")
-        nodes, edges = self._parts()
-        return type(self)(nodes[lo : hi + 1], edges[lo:hi])
+        piece = object.__new__(type(self))
+        piece.dims = self.dims[lo : hi + 1]
+        piece.differentials = self.differentials[lo:hi]
+        return piece
 
     def truncate(self, horizon: int):
         return self.slice(0, horizon)
@@ -127,6 +131,12 @@ class ModuleComplex(VectorComplex):
 
     def _parts(self) -> tuple:
         return self.objects, self.maps
+
+    def slice(self, lo: int, hi: int):
+        piece = super().slice(lo, hi)
+        piece.objects = self.objects[lo : hi + 1]
+        piece.maps = self.maps[lo:hi]
+        return piece
 
 
 class ChainMap:

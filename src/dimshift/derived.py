@@ -160,15 +160,24 @@ def derived_connecting(
     resolutions of the outer terms.
 
     With rng the horseshoe filling and the chase lifts vary; the
-    resulting matrix provably does not (that independence is itself a
-    verification target, so it is not silently assumed here: callers
-    who want the canonical value pass rng=None).
+    resulting matrix provably does not.  That independence is itself a
+    verification target, so it is not silently assumed here: a call
+    with rng always chases afresh and neither reads nor writes the
+    registry's store of connecting maps.  Callers who want the
+    canonical value pass rng=None; it is chased once, with every check,
+    per (F, E's two maps, p) and then kept on the registry.
     """
     if p < 0:
         raise ValueError("connecting degree must be nonnegative")
-    RA = registry.resolution(E.sub, p + 2)
-    RB = registry.resolution(E.quot, p + 2)
-    return chase_connecting(F, E, RA, RB, p, rng)
+
+    def chase() -> RationalMatrix:
+        RA = registry.resolution(E.sub, p + 2)
+        RB = registry.resolution(E.quot, p + 2)
+        return chase_connecting(F, E, RA, RB, p, rng)
+
+    if rng is not None:
+        return chase()
+    return registry.connecting((F, E.a_to_c, E.c_to_b, p), chase)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ from .linalg import (
 
 
 # Entries each content-keyed memo (canonical forms, Hom bases,
-# F-complexes, cohomology) keeps before it evicts the least recently used.
+# F-complexes, cohomology, and a registry's resolutions and connecting
+# maps) keeps before it evicts the least recently used.
 MEMO_SIZE = 256
 
 

@@ -32,6 +32,7 @@ from .complexes import (
 from .modules import (
     FunctorSpec,
     LambdaModule,
+    MEMO_SIZE,
     ModuleMap,
     SesModules,
     cokernel_module,
@@ -110,36 +111,74 @@ def injective_resolution(M: LambdaModule, horizon: int) -> Resolution:
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     augmentation = embed_into_injective(M)
-    objects = [augmentation.dst]
-    differentials = []
-    last_embedding = augmentation
-    for _ in range(horizon):
-        coker = cokernel_module(last_embedding)
-        last_embedding = embed_into_injective(coker.module)
-        differentials.append(compose(last_embedding, coker.projection))
-        objects.append(last_embedding.dst)
-    return Resolution(M, augmentation, ModuleComplex(objects, differentials))
+    return _resolve(M, augmentation, (augmentation.dst,), (), horizon)
+
+
+def _resolve(
+    base: LambdaModule, augmentation: ModuleMap, objects: tuple, maps: tuple, horizon: int
+) -> Resolution:
+    """Continue the resolution with these first objects and differentials
+    up to the horizon, embedding the cokernel of the last map each time.
+
+    A differential is the next embedding composed with a projection, so
+    it has the embedding's image, and cokernels read only the canonical
+    basis of the image: a continued build equals a fresh one.
+    """
+    objects, maps = list(objects), list(maps)
+    last = maps[-1] if maps else augmentation
+    while len(maps) < horizon:
+        coker = cokernel_module(last)
+        last = embed_into_injective(coker.module)
+        maps.append(compose(last, coker.projection))
+        objects.append(last.dst)
+    return Resolution(base, augmentation, ModuleComplex(objects, maps))
+
+
+def _keep(store: dict, key, value) -> None:
+    """Store value as the most recently used entry, evicting the least
+    recently used past MEMO_SIZE.  A lookup pops its entry, so keeping
+    it again moves it to the end."""
+    store[key] = value
+    if len(store) > MEMO_SIZE:
+        del store[next(iter(store))]
 
 
 class ResolutionRegistry:
-    """Shared cache of the deterministic resolutions, keyed by module.
+    """Shared cache of results that depend only on content: the
+    deterministic resolution of each module, and the canonical
+    connecting maps that derived.derived_connecting chases without an
+    rng.
 
     The construction never depends on the requested horizon, so a
-    longer build agrees with a shorter one degree for degree; slices of
-    one cached build keep every presentation aligned across calls.
+    longer request continues the cached build from its last
+    differential instead of starting over, and a shorter one is a slice
+    of it; every presentation stays aligned across calls.  The extended
+    resolution is checked again in every degree.  Each store keeps its
+    MEMO_SIZE most recently used entries; since every entry is
+    deterministic, one rebuilt after eviction equals the one evicted.
     """
 
     def __init__(self):
         self._store: dict = {}
+        self._connecting: dict = {}
 
     def resolution(self, M: LambdaModule, horizon: int) -> Resolution:
-        cached = self._store.get(M)
-        if cached is None or cached.horizon < horizon:
+        cached = self._store.pop(M, None)
+        if cached is None:
             cached = injective_resolution(M, horizon)
-            self._store[M] = cached
-        if cached.horizon > horizon:
-            return cached.truncate(horizon)
-        return cached
+        elif cached.horizon < horizon:
+            cached = _resolve(M, cached.augmentation, cached.objects, cached.complex.maps, horizon)
+        _keep(self._store, M, cached)
+        return cached.truncate(horizon)
+
+    def connecting(self, key, chase) -> RationalMatrix:
+        """The canonical connecting map kept under key; on a miss, chase()
+        builds it with every check."""
+        value = self._connecting.pop(key, None)
+        if value is None:
+            value = chase()
+        _keep(self._connecting, key, value)
+        return value
 
 
 # ---------------------------------------------------------------------------

@@ -68,11 +68,20 @@ def test_module_complex_never_equals_a_vector_complex(k2, registry):
     assert C == ModuleComplex(C.objects, C.maps)
 
 
-def test_slice_is_the_hand_built_complex(k2, registry):
+def test_slice_is_the_hand_built_complex(k2, registry, monkeypatch):
     C = registry.resolution(k2, 4).complex
-    assert C.slice(1, 3) == ModuleComplex(C.objects[1:4], C.maps[1:3])
-    assert C.slice(2, 2).horizon == 0
-    assert C.truncate(2) == C.slice(0, 2)
+    V = VectorComplex(C.dims, C.differentials)
+
+    def product(*args):
+        raise AssertionError("a slice of a checked complex multiplied matrices")
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", product)
+    middle, vector_middle, point, head = C.slice(1, 3), V.slice(1, 3), C.slice(2, 2), C.truncate(2)
+    monkeypatch.undo()
+    assert middle == ModuleComplex(C.objects[1:4], C.maps[1:3])
+    assert vector_middle == VectorComplex(C.dims[1:4], C.differentials[1:3])
+    assert point.horizon == 0
+    assert head == C.slice(0, 2)
     for lo, hi in ((-1, 2), (3, 2), (2, 5)):
         with pytest.raises(ValueError, match="slice out of range"):
             C.slice(lo, hi)

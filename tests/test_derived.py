@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dimshift import derived
 from dimshift.linalg import (
     Rat,
     RationalMatrix,
@@ -59,6 +60,8 @@ from dimshift.harness import (
     gen_random_functor,
     gen_random_module,
     gen_random_ses,
+    run_connecting_suite,
+    run_demo,
 )
 
 from fraction_oracle import block_sizes, ext_dim
@@ -217,6 +220,48 @@ def test_connecting_is_independent_of_horseshoe_and_chase_choices(registry):
         base = derived_connecting(F, E, p, registry)
         assert derived_connecting(F, E, p, registry, rng) == base
         assert derived_connecting(F, E, p, registry, rng) == base
+
+
+def count_horseshoes(monkeypatch) -> list:
+    """One entry per horseshoe a connecting chase builds from now on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return horseshoe(*args, **kwargs)
+
+    monkeypatch.setattr(derived, "horseshoe", counted)
+    return calls
+
+
+def test_only_canonical_connecting_maps_are_kept(monkeypatch, alg2, k2, registry):
+    calls = count_horseshoes(monkeypatch)
+    F = FunctorSpec(alg2, k2)
+    E = standard_ses(k2)
+    chased = derived_connecting(F, E, 1, registry, random.Random(0))
+    assert registry._connecting == {} and len(calls) == 1
+    canonical = derived_connecting(F, E, 1, registry)
+    assert derived_connecting(F, E, 1, registry) == canonical == chased
+    assert len(registry._connecting) == 1 and len(calls) == 2
+    assert derived_connecting(F, E, 1, registry, random.Random(1)) == canonical
+    assert len(calls) == 3
+
+
+def test_the_lemma_suite_still_chases_every_random_filling(monkeypatch):
+    # Per trial: the square's chase, its canonical side, and the two
+    # fillings of the independence check.  The flags are the lemmas
+    # workload's.
+    calls = count_horseshoes(monkeypatch)
+    run_connecting_suite(GeneratorConfig(seed=41, m=2, max_dim=8, horizon=4, trials=4))
+    assert len(calls) == 16
+
+
+def test_the_deep_demo_chases_each_canonical_connecting_map_once(monkeypatch):
+    # The shift to degree n takes n connecting maps, 45 through n = 9;
+    # the cycles of the resolution of k alternate, so 17 of them differ.
+    calls = count_horseshoes(monkeypatch)
+    run_demo(3, 9)
+    assert len(calls) == 17
 
 
 def ses_endomorphism(E, rng):

@@ -56,6 +56,11 @@ PINNED = [
         lambda: run_demo(3, 5),
         "28faee3e2d57c668ce0fe59bf832be0c169e7784b0cda93058da740d131aec1a",
     ),
+    (
+        "demo-deep",
+        lambda: run_demo(3, 9),
+        "e2330de4348037e14eeaf3cf245225f8777e37c999476ec48a27de453f6d5cd6",
+    ),
 ]
 
 

@@ -3,14 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dimshift import resolutions
 from dimshift.linalg import Rat, RationalMatrix, VerificationFailure
 from dimshift.modules import (
     FunctorSpec,
+    SesModules,
     TruncatedAlgebra,
+    cokernel_module,
     compose,
     cyclic_module,
     direct_sum,
+    embed_into_injective,
     free_module,
     identity_map,
     simple_module,
@@ -34,6 +39,7 @@ from dimshift.resolutions import (
     lift_resolution_map,
     split_resolution,
 )
+from dimshift.derived import derived_connecting
 from dimshift.harness import (
     GeneratorConfig,
     gen_padded_resolution,
@@ -116,6 +122,46 @@ def test_registry_returns_aligned_slices(k2):
     assert short.complex.differentials == long.complex.differentials[:2]
     assert again.complex == short.complex
     assert registry.resolution(k2, 5) is long
+
+
+# h < H extends the cached build, h > H slices it, h == H hits.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(0, 4), st.integers(0, 4))
+def test_a_registry_asked_twice_gives_the_fresh_build(seed, m, h, H):
+    M = gen_random_module(GeneratorConfig(m=m, max_dim=6), random.Random(seed))
+    registry = ResolutionRegistry()
+    registry.resolution(M, h)
+    R = registry.resolution(M, H)
+    fresh = injective_resolution(M, H)
+    assert R.horizon == H
+    assert R.augmentation == fresh.augmentation
+    assert R.objects == fresh.objects
+    assert [R.differential(p) for p in range(H)] == [fresh.differential(p) for p in range(H)]
+
+
+def test_registry_stores_keep_the_most_recently_used(monkeypatch):
+    # Both stores read MEMO_SIZE at each insert, so a bound of 2 stands
+    # in for 256 without building hundreds of resolutions.
+    monkeypatch.setattr(resolutions, "MEMO_SIZE", 2)
+    algebra = TruncatedAlgebra(5)
+    registry = ResolutionRegistry()
+    first = registry.resolution(cyclic_module(algebra, 1), 3)
+    registry.resolution(cyclic_module(algebra, 2), 3)
+    registry.resolution(cyclic_module(algebra, 1), 2)  # used again: kept
+    registry.resolution(cyclic_module(algebra, 3), 3)
+    assert len(registry._store) == 2
+    assert cyclic_module(algebra, 1) in registry._store
+    assert cyclic_module(algebra, 2) not in registry._store
+    registry.resolution(cyclic_module(algebra, 4), 3)
+    rebuilt = registry.resolution(cyclic_module(algebra, 1), 3)
+    assert rebuilt is not first
+    assert rebuilt.augmentation == first.augmentation and rebuilt.complex == first.complex
+    F = FunctorSpec(algebra, cyclic_module(algebra, 2))
+    iota = embed_into_injective(cyclic_module(algebra, 2))
+    E = SesModules(iota, cokernel_module(iota).projection)
+    deltas = [derived_connecting(F, E, p, registry) for p in range(3)]
+    assert len(registry._connecting) == 2 and len(registry._store) == 2
+    assert derived_connecting(F, E, 0, registry) == deltas[0]
 
 
 # -- splitting into cycle sequences ------------------------------------------

@@ -41,6 +41,7 @@ from .modules import (
     apply_F_map,
     apply_F_object,
     extend_along_mono,
+    identity_map,
     is_injective,
 )
 
@@ -143,12 +144,14 @@ class ChainMap:
     """Degreewise map of complexes commuting with the differentials.
 
     Both endpoints must be the same kind of complex with the same
-    horizon; components are stored as plain matrices either way.
+    horizon.  Between vector complexes the components are matrices;
+    between module complexes they are the module maps, each checked to
+    intertwine when it was made, kept as maps beside their matrices.
     """
 
-    __slots__ = ("src", "dst", "components")
+    __slots__ = ("src", "dst", "components", "maps")
 
-    def __init__(self, src, dst, components: Sequence[RationalMatrix]):
+    def __init__(self, src, dst, components: Sequence):
         if type(src) is not type(dst):
             raise ValueError("chain map endpoints must be the same kind of complex")
         if src.horizon != dst.horizon:
@@ -156,10 +159,15 @@ class ChainMap:
         components = tuple(components)
         if len(components) != src.horizon + 1:
             raise ValueError("need one component per degree")
+        maps = None
+        if isinstance(src, ModuleComplex):
+            maps = components
+            for p, g in enumerate(maps):
+                if g.src != src.objects[p] or g.dst != dst.objects[p]:
+                    raise ValueError(f"component {p} has the wrong endpoints")
+            components = tuple(g.matrix for g in maps)
         for p, comp in enumerate(components):
-            if isinstance(src, ModuleComplex):
-                ModuleMap(src.objects[p], dst.objects[p], comp)  # validates
-            elif (comp.nrows, comp.ncols) != (dst.dims[p], src.dims[p]):
+            if (comp.nrows, comp.ncols) != (dst.dims[p], src.dims[p]):
                 raise ValueError(f"component {p} has the wrong shape")
         for p in range(src.horizon):
             if components[p + 1] @ src.differentials[p] != dst.differentials[p] @ components[p]:
@@ -167,22 +175,14 @@ class ChainMap:
         self.src = src
         self.dst = dst
         self.components = components
+        self.maps = maps
 
     @property
     def horizon(self) -> int:
         return self.src.horizon
 
     def is_module_level(self) -> bool:
-        return isinstance(self.src, ModuleComplex)
-
-    def __sub__(self, other: "ChainMap") -> "ChainMap":
-        if self.src != other.src or self.dst != other.dst:
-            raise ValueError("chain maps with different endpoints")
-        return ChainMap(
-            self.src,
-            self.dst,
-            [a - b for a, b in zip(self.components, other.components)],
-        )
+        return self.maps is not None
 
     def __eq__(self, other) -> bool:
         return (
@@ -200,6 +200,8 @@ class ChainMap:
 
 
 def identity_chain_map(C: VectorComplex) -> ChainMap:
+    if isinstance(C, ModuleComplex):
+        return ChainMap(C, C, [identity_map(M) for M in C.objects])
     return ChainMap(C, C, [RationalMatrix.identity(d) for d in C.dims])
 
 
@@ -364,11 +366,11 @@ def apply_F_complex(F: FunctorSpec, C: ModuleComplex) -> VectorComplex:
 def apply_F_chain_map(F: FunctorSpec, f: ChainMap) -> ChainMap:
     if not f.is_module_level():
         raise ValueError("can only apply the functor to module-level chain maps")
-    comps = [
-        apply_F_map(F, ModuleMap(f.src.objects[p], f.dst.objects[p], f.components[p]))
-        for p in range(f.horizon + 1)
-    ]
-    return ChainMap(apply_F_complex(F, f.src), apply_F_complex(F, f.dst), comps)
+    return ChainMap(
+        apply_F_complex(F, f.src),
+        apply_F_complex(F, f.dst),
+        [apply_F_map(F, g) for g in f.maps],
+    )
 
 
 def apply_F_ses(F: FunctorSpec, S: SesOfComplexes) -> SesOfComplexes:
@@ -441,12 +443,12 @@ def find_homotopy(f: ChainMap, g: ChainMap, rng: Optional[random.Random] = None)
     """
     if f.src != g.src or f.dst != g.dst:
         raise ValueError("chain maps with different endpoints")
-    e = f - g
+    e = [a - b for a, b in zip(f.components, g.components)]
     src, dst = f.src, f.dst
-    h = [RationalMatrix.zeros(0, e.components[0].ncols)]
+    h = [RationalMatrix.zeros(0, e[0].ncols)]
     for p in range(src.horizon):
         # Solve h(p+1) o d(p) = r, the part of f - g that d o h(p) leaves.
-        r = e.components[p] - dst.differentials[p - 1] @ h[p] if p else e.components[0]
+        r = e[p] - dst.differentials[p - 1] @ h[p] if p else e[0]
         if f.is_module_level():
             if not is_injective(dst.objects[p]):
                 raise VerificationFailure(

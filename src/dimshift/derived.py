@@ -290,7 +290,6 @@ class SignReport:
     comparison: RationalMatrix
     shifted: RationalMatrix
     verdict: bool
-    mismatch: Optional[tuple]
 
 
 def verify_sign_identity(
@@ -306,17 +305,7 @@ def verify_sign_identity(
     c = comparison_iso(F, M, J, n, registry, rng)
     d = dimension_shift_iso(F, M, J, n, registry, rng)
     s = sign_factor(n)
-    expected = c * s
-    mismatch = next(
-        (
-            (i, j, x, y)
-            for i, (row, expected_row) in enumerate(zip(d.rows, expected.rows))
-            for j, (x, y) in enumerate(zip(row, expected_row))
-            if x != y
-        ),
-        None,
-    )
-    return SignReport(n, c.nrows, s, c, d, d == expected, mismatch)
+    return SignReport(n, c.nrows, s, c, d, d == c * s)
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,9 @@ from .linalg import (
 )
 
 
-# Entries each content-keyed memo (canonical forms, Hom bases,
-# F-complexes, cohomology, and a registry's resolutions and connecting
-# maps) keeps before it evicts the least recently used.
+# Entries each content-keyed memo (canonical forms, Hom bases, direct
+# sums, F-complexes, cohomology, and a registry's resolutions and
+# connecting maps) keeps before it evicts the least recently used.
 MEMO_SIZE = 256
 
 
@@ -442,7 +442,6 @@ class Kernel:
 class Cokernel:
     module: LambdaModule
     projection: ModuleMap
-    presentation: object  # the underlying QuotientPresentation
 
 
 def kernel_module(f: ModuleMap) -> Kernel:
@@ -460,7 +459,7 @@ def cokernel_module(f: ModuleMap) -> Cokernel:
     pres = quotient(f.dst.dim, Subspace.from_columns(f.matrix))
     induced_X = pres.reduction_map @ (f.dst.X @ pres.representative_basis)
     Q = LambdaModule(f.dst.algebra, induced_X)
-    return Cokernel(Q, ModuleMap(f.dst, Q, pres.reduction_map), pres)
+    return Cokernel(Q, ModuleMap(f.dst, Q, pres.reduction_map))
 
 
 @dataclass(frozen=True)
@@ -494,6 +493,7 @@ class DirectSum:
     project_right: ModuleMap
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def direct_sum(M: LambdaModule, N: LambdaModule) -> DirectSum:
     if M.algebra != N.algebra:
         raise ValueError("summands live over different algebras")

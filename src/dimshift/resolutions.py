@@ -213,7 +213,7 @@ def split_resolution(J: Resolution, depth: int) -> ResolutionSplitting:
     for q in range(depth):
         d = J.differential(q)
         fact = image_factorization(d)
-        if compose(fact.inclusion, fact.corestriction) != d:
+        if fact.inclusion.matrix @ fact.corestriction.matrix != d.matrix:
             raise VerificationFailure("cycle factorization does not recompose")
         corestrictions.append(fact.corestriction)
         sequences.append(SesModules(inclusions[q], fact.corestriction))
@@ -264,8 +264,8 @@ def _glue(
         base, ModuleMap(base, objects[0], aug), ModuleComplex(objects, differentials)
     )
     ses = SesOfComplexes(
-        ChainMap(sub, resolution.complex, [s.include_left.matrix for s in sums]),
-        ChainMap(resolution.complex, quot, [s.project_right.matrix for s in sums]),
+        ChainMap(sub, resolution.complex, [s.include_left for s in sums]),
+        ChainMap(resolution.complex, quot, [s.project_right for s in sums]),
     )
     return TwistedSum(resolution, ses)
 
@@ -327,12 +327,10 @@ def lift_resolution_map(
     h = min(src_resolution.horizon, dst_resolution.horizon)
     RS = src_resolution.truncate(h)
     RT = dst_resolution.truncate(h)
-    components = [
-        extend_along_mono(RS.augmentation, compose(RT.augmentation, phi), rng).matrix
-    ]
+    components = [extend_along_mono(RS.augmentation, compose(RT.augmentation, phi), rng)]
     for p in range(h):
-        w = ModuleMap(RS.objects[p], RT.objects[p + 1], RT.differential(p).matrix @ components[p])
-        components.append(extend_along_mono(RS.differential(p), w, rng).matrix)
+        w = compose(RT.differential(p), components[p])
+        components.append(extend_along_mono(RS.differential(p), w, rng))
     return ChainMap(RS.complex, RT.complex, components)
 
 

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from dimshift.linalg import Rat, RationalMatrix, VerificationFailure, rank, solve_matrix
-from dimshift.modules import FunctorSpec, identity_map
+from dimshift.modules import FunctorSpec, ModuleMap, apply_F_map, identity_map
 from dimshift.complexes import (
     ChainMap,
     ModuleComplex,
     NotHomotopic,
     SesOfComplexes,
     VectorComplex,
+    apply_F_chain_map,
     apply_F_complex,
     apply_F_ses,
     cohomology,
@@ -21,7 +22,7 @@ from dimshift.complexes import (
     induced_on_cohomology,
     snake_delta_matrix,
 )
-from dimshift.resolutions import horseshoe
+from dimshift.resolutions import horseshoe, lift_resolution_map
 from dimshift.harness import (
     GeneratorConfig,
     gen_random_functor,
@@ -97,6 +98,37 @@ def test_chain_map_rejects_noncommuting_squares():
     D = VectorComplex((1, 1), (M([[0]]),))
     with pytest.raises(VerificationFailure, match="square at degree 0 does not commute"):
         ChainMap(C, D, (M([[1]]), M([[1]])))
+
+
+def test_module_chain_map_keeps_its_maps_and_builds_none(k2, registry, monkeypatch):
+    R = registry.resolution(k2, 3)
+    lift = lift_resolution_map(identity_map(k2), R, R)
+    F = FunctorSpec(k2.algebra, k2)
+    apply_F_complex(F, R.complex)
+    built = []
+    init = ModuleMap.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ModuleMap, "__init__", counted)
+    f = ChainMap(R.complex, R.complex, lift.maps)
+    Ff = apply_F_chain_map(F, f)
+    monkeypatch.undo()
+    assert built == []
+    assert f.is_module_level() and not Ff.is_module_level()
+    assert all(g is h for g, h in zip(f.maps, lift.maps))
+    assert f.components == tuple(g.matrix for g in lift.maps)
+    assert Ff.components == tuple(apply_F_map(F, g) for g in lift.maps)
+
+
+def test_module_chain_map_rejects_wrong_endpoints(k2, registry):
+    R = registry.resolution(k2, 2)
+    maps = list(identity_chain_map(R.complex).maps)
+    maps[1] = identity_map(k2)
+    with pytest.raises(ValueError, match="component 1 has the wrong endpoints"):
+        ChainMap(R.complex, R.complex, maps)
 
 
 # -- cohomology --------------------------------------------------------------

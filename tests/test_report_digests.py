@@ -7,11 +7,13 @@ means to alter reports updates the digests and says why.
 """
 
 import hashlib
+import importlib
+import pkgutil
 
 import pytest
 
+import dimshift
 from dimshift.cli import main
-from dimshift.complexes import apply_F_complex, cohomology
 from dimshift.harness import (
     GeneratorConfig,
     run_connecting_suite,
@@ -19,10 +21,29 @@ from dimshift.harness import (
     run_sign_suite,
     run_step_sign_suite,
 )
-from dimshift.modules import canonical_form, hom_basis
 from dimshift.serialize import dumps
 
-MEMOS = (canonical_form, hom_basis, cohomology, apply_F_complex)
+
+def package_memos() -> list:
+    """Every function of a dimshift module that has a cache_clear, each
+    once however many modules import it."""
+    found = {}
+    for info in pkgutil.iter_modules(dimshift.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"dimshift.{info.name}")
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    found[id(value)] = value
+    return list(found.values())
+
+
+MEMOS = package_memos()
+
+
+def test_the_cold_run_finds_the_memos():
+    names = sorted(memo.__qualname__ for memo in MEMOS)
+    assert names == sorted(set(names))
+    assert {"canonical_form", "direct_sum", "cohomology"} <= set(names)
 
 
 def sha256(text: str) -> str:

@@ -50,6 +50,7 @@ from .complexes import (
 from .resolutions import (
     Resolution,
     ResolutionRegistry,
+    TwistedSum,
     cylinder_resolution,
     horseshoe,
     is_F_acyclic,
@@ -111,17 +112,19 @@ def comparison_iso(
 ) -> RationalMatrix:
     """H^n(F J) -> R^n F(M) induced by a lift of the identity.
 
-    J must resolve M by F-acyclic objects (checked, VerificationFailure
-    otherwise).  Different lifts are homotopic, so the matrix does not
-    depend on rng; invertibility is asserted rather than assumed.
+    J must resolve M by F-acyclic objects (checked once per distinct
+    object, VerificationFailure otherwise).  Different lifts are
+    homotopic, so the matrix does not depend on rng; invertibility is
+    asserted rather than assumed.
     """
     if J.base != M:
         raise ValueError("resolution does not resolve the given module")
     if not 0 <= n <= J.horizon - 1:
         raise ValueError("degree must sit below the resolution horizon")
     depth = max(n, 1)
-    for p, obj in enumerate(J.objects):
+    for obj in dict.fromkeys(J.objects):
         if not is_F_acyclic(F, obj, depth, registry):
+            p = J.objects.index(obj)
             raise VerificationFailure(f"resolution object in degree {p} is not acyclic")
     I = registry.resolution(M, J.horizon)
     f = lift_resolution_map(identity_map(M), J, I, rng)
@@ -143,9 +146,16 @@ def chase_connecting(
     rng: Optional[random.Random] = None,
 ) -> RationalMatrix:
     """H^p F(quot_resolution) -> H^(p+1) F(sub_resolution): fill a
-    horseshoe over the given resolutions, apply F and chase.  Every
-    connecting map of a short exact sequence of modules is built here."""
+    horseshoe over the given resolutions, apply F and chase."""
     hs = horseshoe(E, sub_resolution, quot_resolution, rng)
+    return chase_horseshoe(F, hs, p, rng)
+
+
+def chase_horseshoe(
+    F: FunctorSpec, hs: TwistedSum, p: int, rng: Optional[random.Random] = None
+) -> RationalMatrix:
+    """Apply F to a filled horseshoe and chase degree p.  Every
+    connecting map of a short exact sequence of modules is chased here."""
     return snake_delta_matrix(apply_F_ses(F, hs.ses), p, rng)
 
 
@@ -162,22 +172,22 @@ def derived_connecting(
     With rng the horseshoe filling and the chase lifts vary; the
     resulting matrix provably does not.  That independence is itself a
     verification target, so it is not silently assumed here: a call
-    with rng always chases afresh and neither reads nor writes the
-    registry's store of connecting maps.  Callers who want the
-    canonical value pass rng=None; it is chased once, with every check,
-    per (F, E's two maps, p) and then kept on the registry.
+    with rng always fills a fresh horseshoe and chases it, and neither
+    reads nor writes the registry's stores of horseshoes and connecting
+    maps.  Callers who want the canonical value pass rng=None; it is
+    chased once, with every check, per (F, E's two maps, p) on the
+    registry's canonical horseshoe of E, and then kept on the registry.
     """
     if p < 0:
         raise ValueError("connecting degree must be nonnegative")
-
-    def chase() -> RationalMatrix:
+    if rng is not None:
         RA = registry.resolution(E.sub, p + 2)
         RB = registry.resolution(E.quot, p + 2)
         return chase_connecting(F, E, RA, RB, p, rng)
-
-    if rng is not None:
-        return chase()
-    return registry.connecting((F, E.a_to_c, E.c_to_b, p), chase)
+    return registry.connecting(
+        (F, E.a_to_c, E.c_to_b, p),
+        lambda: chase_horseshoe(F, registry.horseshoe(E, p + 2), p),
+    )
 
 
 @dataclass(frozen=True)

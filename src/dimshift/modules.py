@@ -35,9 +35,10 @@ from .linalg import (
 )
 
 
-# Entries each content-keyed memo (canonical forms, Hom bases, direct
-# sums, F-complexes, cohomology, and a registry's resolutions and
-# connecting maps) keeps before it evicts the least recently used.
+# Entries each content-keyed memo (canonical forms, Hom bases, F of a
+# map, image factorizations, direct sums, F-complexes, cohomology, and a
+# registry's resolutions, horseshoes and connecting maps) keeps before
+# it evicts the least recently used.
 MEMO_SIZE = 256
 
 
@@ -404,6 +405,7 @@ def apply_F_object(F: FunctorSpec, M: LambdaModule) -> HomBasis:
     return hom_basis(F.source, M)
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def apply_F_map(F: FunctorSpec, f: ModuleMap) -> RationalMatrix:
     """Matrix of F(f): Hom(A, src) -> Hom(A, dst) in the chosen bases.
 
@@ -471,6 +473,7 @@ class ImageFactorization:
     inclusion: ModuleMap
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def image_factorization(f: ModuleMap) -> ImageFactorization:
     """Factor f through its image; the image is X-stable so X restricts."""
     B = image_basis(f.matrix)

@@ -145,21 +145,24 @@ def _keep(store: dict, key, value) -> None:
 
 class ResolutionRegistry:
     """Shared cache of results that depend only on content: the
-    deterministic resolution of each module, and the canonical
-    connecting maps that derived.derived_connecting chases without an
-    rng.
+    deterministic resolution of each module, the canonical (rng-free)
+    horseshoe of each short exact sequence, and the canonical
+    connecting maps that derived.derived_connecting chases on those
+    horseshoes.
 
-    The construction never depends on the requested horizon, so a
+    The constructions never depend on the requested horizon, so a
     longer request continues the cached build from its last
-    differential instead of starting over, and a shorter one is a slice
-    of it; every presentation stays aligned across calls.  The extended
-    resolution is checked again in every degree.  Each store keeps its
-    MEMO_SIZE most recently used entries; since every entry is
-    deterministic, one rebuilt after eviction equals the one evicted.
+    differential or theta instead of starting over, and a shorter one
+    is served by the longer build; every presentation stays aligned
+    across calls.  An extended resolution or horseshoe is checked again
+    in every degree.  Each store keeps its MEMO_SIZE most recently used
+    entries; since every entry is deterministic, one rebuilt after
+    eviction equals the one evicted.
     """
 
     def __init__(self):
         self._store: dict = {}
+        self._horseshoes: dict = {}
         self._connecting: dict = {}
 
     def resolution(self, M: LambdaModule, horizon: int) -> Resolution:
@@ -170,6 +173,19 @@ class ResolutionRegistry:
             cached = _resolve(M, cached.augmentation, cached.objects, cached.complex.maps, horizon)
         _keep(self._store, M, cached)
         return cached.truncate(horizon)
+
+    def horseshoe(self, E: SesModules, horizon: int) -> "TwistedSum":
+        """The canonical horseshoe of E over the registry resolutions,
+        through at least the horizon: the kept one, grown if it is
+        shorter."""
+        key = (E.a_to_c, E.c_to_b)
+        kept = self._horseshoes.pop(key, None)
+        if kept is None or kept.resolution.horizon < horizon:
+            RA = self.resolution(E.sub, horizon)
+            RB = self.resolution(E.quot, horizon)
+            kept = horseshoe(E, RA, RB, prefix=kept)
+        _keep(self._horseshoes, key, kept)
+        return kept
 
     def connecting(self, key, chase) -> RationalMatrix:
         """The canonical connecting map kept under key; on a miss, chase()
@@ -239,6 +255,7 @@ class TwistedSum:
 
     resolution: Resolution
     ses: SesOfComplexes
+    thetas: tuple
 
 
 def _glue(
@@ -267,7 +284,7 @@ def _glue(
         ChainMap(sub, resolution.complex, [s.include_left for s in sums]),
         ChainMap(resolution.complex, quot, [s.project_right for s in sums]),
     )
-    return TwistedSum(resolution, ses)
+    return TwistedSum(resolution, ses, tuple(thetas))
 
 
 def horseshoe(
@@ -275,6 +292,7 @@ def horseshoe(
     sub_resolution: Resolution,
     quot_resolution: Resolution,
     rng: Optional[random.Random] = None,
+    prefix: Optional[TwistedSum] = None,
 ) -> TwistedSum:
     """Fill the middle column over resolutions of the outer terms.
 
@@ -285,18 +303,26 @@ def horseshoe(
     -d_A^p o theta^(p-1) along d_B^(p-1).  Each right-hand side kills
     the kernel it must, by exactness of the outer resolutions.  rng
     varies every extension; the connecting maps do not depend on it.
+
+    prefix, a horseshoe of E over truncations of the same resolutions,
+    keeps its augmentation and thetas, and the ladder continues from
+    its last theta; every degree is glued and checked again.
     """
     if sub_resolution.base != E.sub or quot_resolution.base != E.quot:
         raise ValueError("resolutions do not match the sequence ends")
     h = min(sub_resolution.horizon, quot_resolution.horizon)
     RA = sub_resolution.truncate(h)
     RB = quot_resolution.truncate(h)
-    t = extend_along_mono(E.a_to_c, RA.augmentation, rng)
-    along = compose(RB.augmentation, E.c_to_b)
-    aug = RationalMatrix.vstack([t.matrix, along.matrix])
-    thetas = []
-    prev = t.matrix
-    for p in range(h):
+    thetas = list(prefix.thetas[:h]) if prefix is not None else []
+    if thetas:
+        aug = prefix.resolution.augmentation.matrix
+        prev, along = thetas[-1], RB.differential(len(thetas) - 1)
+    else:
+        t = extend_along_mono(E.a_to_c, RA.augmentation, rng)
+        along = compose(RB.augmentation, E.c_to_b)
+        aug = RationalMatrix.vstack([t.matrix, along.matrix])
+        prev = t.matrix
+    for p in range(len(thetas), h):
         rhs = ModuleMap(along.src, RA.objects[p + 1], -(RA.differential(p).matrix @ prev))
         prev = extend_along_mono(along, rhs, rng).matrix
         thetas.append(prev)

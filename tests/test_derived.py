@@ -1,10 +1,11 @@
 """Derived functors, comparison and shift isomorphisms, sign checks."""
 
 import random
+import sys
 
 import pytest
 
-from dimshift import derived
+from dimshift import derived, resolutions
 from dimshift.linalg import (
     Rat,
     RationalMatrix,
@@ -183,6 +184,16 @@ def test_comparison_rejects_non_acyclic_resolutions(alg2, k2):
     )
     with pytest.raises(VerificationFailure, match="degree 0 is not acyclic"):
         comparison_iso(F, k2, J, 0, registry)
+    # 0 -> k -> k -> 0 resolves 0; k is checked once, and the failure
+    # names the lowest degree that holds it.
+    Z = zero_module(alg2)
+    J = Resolution(
+        Z,
+        identity_map(Z),
+        ModuleComplex([Z, k2, k2, Z], [zero_map(Z, k2), identity_map(k2), zero_map(k2, Z)]),
+    )
+    with pytest.raises(VerificationFailure, match="degree 1 is not acyclic"):
+        comparison_iso(F, Z, J, 1, registry)
 
 
 # -- connecting maps ---------------------------------------------------------
@@ -223,14 +234,17 @@ def test_connecting_is_independent_of_horseshoe_and_chase_choices(registry):
 
 
 def count_horseshoes(monkeypatch) -> list:
-    """One entry per horseshoe a connecting chase builds from now on."""
+    """One entry per horseshoe a connecting chase builds or grows from
+    now on: fresh chases call it from derived, the registry's canonical
+    horseshoes from resolutions."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(None)
         return horseshoe(*args, **kwargs)
 
-    monkeypatch.setattr(derived, "horseshoe", counted)
+    for module in (derived, resolutions):
+        monkeypatch.setattr(module, "horseshoe", counted)
     return calls
 
 
@@ -239,12 +253,18 @@ def test_only_canonical_connecting_maps_are_kept(monkeypatch, alg2, k2, registry
     F = FunctorSpec(alg2, k2)
     E = standard_ses(k2)
     chased = derived_connecting(F, E, 1, registry, random.Random(0))
-    assert registry._connecting == {} and len(calls) == 1
+    assert registry._connecting == {} and registry._horseshoes == {}
+    assert len(calls) == 1
     canonical = derived_connecting(F, E, 1, registry)
     assert derived_connecting(F, E, 1, registry) == canonical == chased
     assert len(registry._connecting) == 1 and len(calls) == 2
+    assert len(registry._horseshoes) == 1
+    kept = registry._horseshoes[E.a_to_c, E.c_to_b]
     assert derived_connecting(F, E, 1, registry, random.Random(1)) == canonical
-    assert len(calls) == 3
+    derived_connecting(F, E, 2, registry, random.Random(2))
+    assert len(calls) == 4 and len(registry._connecting) == 1
+    (still,) = registry._horseshoes.values()
+    assert still is kept and kept.resolution.horizon == 3
 
 
 def test_the_lemma_suite_still_chases_every_random_filling(monkeypatch):
@@ -259,9 +279,35 @@ def test_the_lemma_suite_still_chases_every_random_filling(monkeypatch):
 def test_the_deep_demo_chases_each_canonical_connecting_map_once(monkeypatch):
     # The shift to degree n takes n connecting maps, 45 through n = 9;
     # the cycles of the resolution of k alternate, so 17 of them differ.
-    calls = count_horseshoes(monkeypatch)
+    # Each is chased once, on a horseshoe built or grown for it.
+    horseshoes = count_horseshoes(monkeypatch)
+    chases = []
+    chase = derived.chase_horseshoe
+
+    def counted(*args):
+        chases.append(None)
+        return chase(*args)
+
+    monkeypatch.setattr(derived, "chase_horseshoe", counted)
     run_demo(3, 9)
-    assert len(calls) == 17
+    assert len(chases) == len(horseshoes) == 17
+
+
+def test_the_deep_demo_grows_each_canonical_horseshoe_one_theta_at_a_time(monkeypatch):
+    # Two sequences, asked at p = 0, 1, 2, ... in turn: each canonical
+    # horseshoe solves t and its thetas once, 21 extensions for the 17
+    # chases (115 when every chase rebuilt its horseshoe from degree 0).
+    calls = []
+    extend = resolutions.extend_along_mono
+
+    def counted(*args):
+        if sys._getframe(1).f_code.co_name == "horseshoe":
+            calls.append(None)
+        return extend(*args)
+
+    monkeypatch.setattr(resolutions, "extend_along_mono", counted)
+    run_demo(3, 9)
+    assert len(calls) == 21
 
 
 def ses_endomorphism(E, rng):

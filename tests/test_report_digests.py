@@ -43,7 +43,9 @@ MEMOS = package_memos()
 def test_the_cold_run_finds_the_memos():
     names = sorted(memo.__qualname__ for memo in MEMOS)
     assert names == sorted(set(names))
-    assert {"canonical_form", "direct_sum", "cohomology"} <= set(names)
+    assert {
+        "canonical_form", "direct_sum", "cohomology", "apply_F_map", "image_factorization"
+    } <= set(names)
 
 
 def sha256(text: str) -> str:

@@ -39,7 +39,7 @@ from dimshift.resolutions import (
     lift_resolution_map,
     split_resolution,
 )
-from dimshift.derived import derived_connecting
+from dimshift.derived import chase_connecting, derived_connecting
 from dimshift.harness import (
     GeneratorConfig,
     gen_padded_resolution,
@@ -268,6 +268,54 @@ def test_functor_keeps_horseshoe_sequences_exact():
             E, registry.resolution(E.sub, 2), registry.resolution(E.quot, 2), rng
         )
         apply_F_ses(F, hs.ses)  # exactness is re-validated on construction
+
+
+# h < H grows the kept horseshoe, h > H serves the longer one, h == H hits.
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(0, 4), st.integers(0, 4))
+def test_a_registry_horseshoe_asked_twice_gives_the_fresh_build(seed, m, h, H):
+    rng = random.Random(seed)
+    cfg = GeneratorConfig(m=m, max_dim=6)
+    F = gen_random_functor(cfg, rng)
+    E = gen_random_ses(cfg, rng)
+    registry = ResolutionRegistry()
+    registry.horseshoe(E, h)
+    hs = registry.horseshoe(E, H)
+    top = max(h, H)
+    fresh = ResolutionRegistry()
+    built = horseshoe(E, fresh.resolution(E.sub, top), fresh.resolution(E.quot, top))
+    assert hs.resolution.horizon == top
+    assert hs.thetas == built.thetas
+    assert hs.resolution.augmentation == built.resolution.augmentation
+    assert hs.resolution.complex.maps == built.resolution.complex.maps
+    for p in range(top - 1):
+        RA = fresh.resolution(E.sub, p + 2)
+        RB = fresh.resolution(E.quot, p + 2)
+        assert derived_connecting(F, E, p, registry) == chase_connecting(F, E, RA, RB, p)
+    assert registry.horseshoe(E, 0) is hs
+
+
+def test_the_horseshoe_store_keeps_the_most_recently_used(monkeypatch):
+    monkeypatch.setattr(resolutions, "MEMO_SIZE", 2)
+    algebra = TruncatedAlgebra(4)
+
+    def standard(length):
+        iota = embed_into_injective(cyclic_module(algebra, length))
+        return SesModules(iota, cokernel_module(iota).projection)
+
+    one, two, three = standard(1), standard(2), standard(3)
+    registry = ResolutionRegistry()
+    first = registry.horseshoe(one, 2)
+    registry.horseshoe(two, 2)
+    assert registry.horseshoe(one, 1) is first  # used again: kept
+    registry.horseshoe(three, 2)
+    assert list(registry._horseshoes) == [(one.a_to_c, one.c_to_b), (three.a_to_c, three.c_to_b)]
+    registry.horseshoe(two, 2)
+    assert (one.a_to_c, one.c_to_b) not in registry._horseshoes
+    rebuilt = registry.horseshoe(one, 2)
+    assert rebuilt is not first and rebuilt.thetas == first.thetas
+    assert rebuilt.resolution.complex == first.resolution.complex
+    assert len(registry._horseshoes) == 2
 
 
 # -- comparison lifts --------------------------------------------------------

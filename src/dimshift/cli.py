@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import fields
 from typing import Optional
 
 from .derived import sign_factor
@@ -95,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> GeneratorConfig:
     """Each generator flag's dest is the GeneratorConfig field it sets."""
-    return GeneratorConfig(**{f.name: getattr(args, f.name) for f in fields(GeneratorConfig)})
+    return GeneratorConfig(**{f: getattr(args, f) for f in GeneratorConfig._fields})
 
 
 def _emit_report(report: RunReport, args) -> int:

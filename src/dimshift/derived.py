@@ -18,7 +18,7 @@ comparable at all.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .linalg import (
@@ -39,7 +39,6 @@ from .modules import (
     identity_map,
 )
 from .complexes import (
-    VectorComplex,
     apply_F_chain_map,
     apply_F_complex,
     apply_F_ses,
@@ -65,18 +64,19 @@ def sign_factor(n: int) -> int:
     return -1 if ((n * n + n) // 2) % 2 else 1
 
 
+def step_sign(p: int) -> int:
+    """(-1)^(p+1): the expected sign of shift step p, chased through the cylinder."""
+    return -1 if (p + 1) % 2 else 1
+
+
 # ---------------------------------------------------------------------------
 # Derived functor values.
 
-@dataclass(frozen=True)
-class DerivedFunctorValue:
+class DerivedFunctorValue(namedtuple("DerivedFunctorValue", "functor module horizon complex")):
     """R^i F(module) for i below the horizon, all presented on the
     registry resolution."""
 
-    functor: FunctorSpec
-    module: LambdaModule
-    horizon: int
-    complex: VectorComplex
+    __slots__ = ()
 
     def presentation(self, i: int):
         if not 0 <= i <= self.horizon - 1:
@@ -190,15 +190,13 @@ def derived_connecting(
     )
 
 
-@dataclass(frozen=True)
-class DegreeZeroConnecting:
+class DegreeZeroConnecting(namedtuple("DegreeZeroConnecting", "presentation matrix")):
     """The barred degree-zero connecting map: its domain is F(quot)
     modulo the image of F(mid), given by `presentation`, and `matrix`
     maps those quotient coordinates to the registry presentation of
     R^1 F(sub)."""
 
-    presentation: object
-    matrix: RationalMatrix
+    __slots__ = ()
 
 
 def derived_connecting_deg0(
@@ -290,16 +288,10 @@ def dimension_shift_iso(
 # ---------------------------------------------------------------------------
 # Verification entry points.
 
-@dataclass(frozen=True)
-class SignReport:
+class SignReport(namedtuple("SignReport", "n dim sign comparison shifted verdict")):
     """Outcome of one sign comparison: shifted == sign * comparison."""
 
-    n: int
-    dim: int
-    sign: int
-    comparison: RationalMatrix
-    shifted: RationalMatrix
-    verdict: bool
+    __slots__ = ()
 
 
 def verify_sign_identity(
@@ -318,15 +310,13 @@ def verify_sign_identity(
     return SignReport(n, c.nrows, s, c, d, d == c * s)
 
 
-@dataclass(frozen=True)
-class ConnectingSquareReport:
+class ConnectingSquareReport(namedtuple(
+    "ConnectingSquareReport", "degree via_chase via_canonical verdict"
+)):
     """Whether comparison isomorphisms intertwine a freshly chased
     connecting map with the canonical one."""
 
-    degree: int
-    via_chase: RationalMatrix
-    via_canonical: RationalMatrix
-    verdict: bool
+    __slots__ = ()
 
 
 def verify_connecting_square(
@@ -358,17 +348,12 @@ def verify_connecting_square(
     return ConnectingSquareReport(p, chased, canonical, chased == canonical)
 
 
-@dataclass(frozen=True)
-class StepSignReport:
+class StepSignReport(namedtuple("StepSignReport", "n p expected_sign matrix verdict")):
     """One rung of the shift ladder, chased through the two-term
     cylinder: the matrix should be exactly (-1)^(p+1) times the
     identity on the shared presentation."""
 
-    n: int
-    p: int
-    expected_sign: int
-    matrix: RationalMatrix
-    verdict: bool
+    __slots__ = ()
 
 
 def verify_shift_step_sign(
@@ -411,6 +396,6 @@ def verify_shift_step_sign(
         if not source.same_presentation(Hn):
             raise VerificationFailure("cylinder source presentation drifted")
         D = snake_delta_matrix(FS, p, rng)
-    s = -1 if (p + 1) % 2 else 1
+    s = step_sign(p)
     expected = RationalMatrix.identity(Hn.dim) * s
     return StepSignReport(n, p, s, D, D == expected)

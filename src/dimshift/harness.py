@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .linalg import RationalMatrix, VerificationFailure, inverse
@@ -55,8 +55,11 @@ class ConfigError(ValueError):
         self.requirement = requirement
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(namedtuple(
+    "GeneratorConfig",
+    "seed m max_dim max_padding horizon trials",
+    defaults=(0, 2, 8, 2, 4, 50),
+)):
     """Knobs for the random instance stream.
 
     Identical configs produce identical streams.  horizon bounds the
@@ -64,19 +67,16 @@ class GeneratorConfig:
     any particular resolution (those are sized per trial).
     """
 
-    seed: int = 0
-    m: int = 2
-    max_dim: int = 8
-    max_padding: int = 2
-    horizon: int = 4
-    trials: int = 50
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for field, least in (
             ("m", 2), ("horizon", 2), ("trials", 1), ("max_dim", 1), ("max_padding", 0)
         ):
             if getattr(self, field) < least:
                 raise ConfigError(field, f"must be at least {least}")
+        return self
 
     @property
     def algebra(self) -> TruncatedAlgebra:
@@ -205,14 +205,10 @@ def gen_padded_resolution(
 # ---------------------------------------------------------------------------
 # Suites.
 
-@dataclass
-class RunReport:
+class RunReport(namedtuple("RunReport", "config trials passed wall_time_s")):
     """Everything one suite run produced, ready to serialize."""
 
-    config: dict
-    trials: list
-    passed: bool
-    wall_time_s: float
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -246,7 +242,7 @@ def _run_suite(suite: str, cfg: GeneratorConfig, trial) -> RunReport:
         except VerificationFailure as exc:
             record = {"verdict": "fail", "error": str(exc)}
         trials.append({"seed": seed, **record})
-    return _report({"suite": suite, **asdict(cfg)}, trials, started)
+    return _report({"suite": suite, **cfg._asdict()}, trials, started)
 
 
 def run_sign_suite(

@@ -135,7 +135,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._of([[int(i == j) for j in range(n)] for i in range(n)], n)
+        return cls._of([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], nrows: int) -> "RationalMatrix":
@@ -230,18 +230,20 @@ class RationalMatrix:
         zero = (0,) * other.ncols
         out = []
         for row in self.num:
-            # Operands are sparse: sum the rows of other that row picks.
-            picked = [
-                orows[k] if a == 1 else [a * b for b in orows[k]]
-                for k, a in enumerate(row)
-                if a
-            ]
-            if not picked:
-                out.append(zero)
-            elif len(picked) == 1:
-                out.append(picked[0])
-            else:
-                out.append([sum(col) for col in zip(*picked)])
+            # Operands are sparse: add up the rows of other that row picks,
+            # in one pass, starting from the first as it is.
+            acc = None
+            for k, a in enumerate(row):
+                if not a:
+                    continue
+                r = orows[k]
+                if acc is None:
+                    acc = r if a == 1 else [a * y for y in r]
+                elif a == 1:
+                    acc = [x + y for x, y in zip(acc, r)]
+                else:
+                    acc = [x + a * y for x, y in zip(acc, r)]
+            out.append(zero if acc is None else acc)
         return RationalMatrix._of(out, other.ncols, self.den * other.den)
 
     def __mul__(self, scalar) -> "RationalMatrix":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -42,15 +42,15 @@ from .linalg import (
 MEMO_SIZE = 256
 
 
-@dataclass(frozen=True)
-class TruncatedAlgebra:
+class TruncatedAlgebra(namedtuple("TruncatedAlgebra", "m")):
     """The algebra k[x]/(x^m) over k = Q.  Needs m >= 2."""
 
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2:
+    def __new__(cls, m: int):
+        if m < 2:
             raise ValueError("truncation exponent must be at least 2")
+        return super().__new__(cls, m)
 
 
 class LambdaModule:
@@ -215,8 +215,7 @@ class SesModules:
 # ---------------------------------------------------------------------------
 # Nilpotent canonical form.
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(namedtuple("CanonicalForm", "block_sizes offsets P P_inv")):
     """Block decomposition of a nilpotent operator.
 
     P's columns list, block by block, the chain v, Xv, ..., X^(j-1)v of
@@ -224,10 +223,7 @@ class CanonicalForm:
     weakly decreasing block sizes.
     """
 
-    block_sizes: tuple
-    offsets: tuple
-    P: RationalMatrix
-    P_inv: RationalMatrix
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -386,16 +382,15 @@ def hom_basis(A: LambdaModule, B: LambdaModule) -> HomBasis:
 # ---------------------------------------------------------------------------
 # The functor F = Hom(A, -).
 
-@dataclass(frozen=True)
-class FunctorSpec:
+class FunctorSpec(namedtuple("FunctorSpec", "algebra source")):
     """The covariant left-exact functor Hom(source, -)."""
 
-    algebra: TruncatedAlgebra
-    source: LambdaModule
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.source.algebra != self.algebra:
+    def __new__(cls, algebra: TruncatedAlgebra, source: LambdaModule):
+        if source.algebra != algebra:
             raise ValueError("source module lives over a different algebra")
+        return super().__new__(cls, algebra, source)
 
 
 def apply_F_object(F: FunctorSpec, M: LambdaModule) -> HomBasis:
@@ -434,16 +429,12 @@ def check_left_exactness(F: FunctorSpec, E: SesModules) -> bool:
 # ---------------------------------------------------------------------------
 # Kernels, cokernels, direct sums.
 
-@dataclass(frozen=True)
-class Kernel:
-    module: LambdaModule
-    inclusion: ModuleMap
+class Kernel(namedtuple("Kernel", "module inclusion")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cokernel:
-    module: LambdaModule
-    projection: ModuleMap
+class Cokernel(namedtuple("Cokernel", "module projection")):
+    __slots__ = ()
 
 
 def kernel_module(f: ModuleMap) -> Kernel:
@@ -464,13 +455,10 @@ def cokernel_module(f: ModuleMap) -> Cokernel:
     return Cokernel(Q, ModuleMap(f.dst, Q, pres.reduction_map))
 
 
-@dataclass(frozen=True)
-class ImageFactorization:
+class ImageFactorization(namedtuple("ImageFactorization", "module corestriction inclusion")):
     """f = inclusion o corestriction through the image submodule."""
 
-    module: LambdaModule
-    corestriction: ModuleMap
-    inclusion: ModuleMap
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -487,13 +475,10 @@ def image_factorization(f: ModuleMap) -> ImageFactorization:
     return ImageFactorization(Z, ModuleMap(f.src, Z, coords), ModuleMap(Z, f.dst, B))
 
 
-@dataclass(frozen=True)
-class DirectSum:
-    module: LambdaModule
-    include_left: ModuleMap
-    include_right: ModuleMap
-    project_left: ModuleMap
-    project_right: ModuleMap
+class DirectSum(namedtuple(
+    "DirectSum", "module include_left include_right project_left project_right"
+)):
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)

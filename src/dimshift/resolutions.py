@@ -18,7 +18,7 @@ differential.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .linalg import RationalMatrix, VerificationFailure, rank
@@ -200,8 +200,10 @@ class ResolutionRegistry:
 # ---------------------------------------------------------------------------
 # Splitting a resolution into short exact sequences of cycles.
 
-@dataclass(frozen=True)
-class ResolutionSplitting:
+class ResolutionSplitting(namedtuple(
+    "ResolutionSplitting",
+    "resolution depth cycles inclusions corestrictions sequences",
+)):
     """Cycle data of a resolution down to some depth.
 
     cycles[q] is the q-th cycle module (cycles[0] is the base itself),
@@ -211,12 +213,7 @@ class ResolutionSplitting:
     0 -> cycles[q-1] -> J^(q-1) -> cycles[q] -> 0.
     """
 
-    resolution: Resolution
-    depth: int
-    cycles: tuple
-    inclusions: tuple
-    corestrictions: tuple
-    sequences: tuple
+    __slots__ = ()
 
 
 def split_resolution(J: Resolution, depth: int) -> ResolutionSplitting:
@@ -248,14 +245,11 @@ def split_resolution(J: Resolution, depth: int) -> ResolutionSplitting:
 # ---------------------------------------------------------------------------
 # Twisted direct sums: the horseshoe filler and the two-term cylinder.
 
-@dataclass(frozen=True)
-class TwistedSum:
+class TwistedSum(namedtuple("TwistedSum", "resolution ses thetas")):
     """A resolution whose degree-p object is sub^p (+) quot^p, with the
     degreewise-split sequence 0 -> sub -> resolution -> quot -> 0."""
 
-    resolution: Resolution
-    ses: SesOfComplexes
-    thetas: tuple
+    __slots__ = ()
 
 
 def _glue(

@@ -124,3 +124,26 @@ def test_a_negated_connecting_map_fails_only_the_shift_steps(monkeypatch, tmp_pa
     for t in connecting:
         assert (t["square"], t["independent"], t["verdict"]) == ("pass", "pass", "pass")
     assert any(t["verdict"] == "fail" for t in steps)
+
+
+def test_a_flipped_step_sign_fails_the_step_trials(monkeypatch, tmp_path):
+    # A flipped step passes only when it is 0-dimensional, as the first
+    # n = 1 step and both n = 2 steps are; the n = 2 product passes too,
+    # its two flips cancelling.  The sign and demo commands check no step.
+    step_sign = derived.step_sign
+    monkeypatch.setattr(derived, "step_sign", lambda p: -step_sign(p))
+    out = tmp_path / "report.json"
+    assert main(LEMMAS + ["--output", str(out)]) == 1
+    trials = json.loads(out.read_text())["trials"]
+    steps = [
+        (t["n"], t["product"], [s["verdict"] for s in t["steps"]])
+        for t in trials if t["part"] == "steps"
+    ]
+    assert steps == [
+        (1, "fail", ["pass"]),
+        (1, "fail", ["fail"]),
+        (2, "pass", ["pass", "pass"]),
+        (3, "fail", ["fail", "fail", "fail"]),
+    ]
+    assert main(SIGN) == 0
+    assert main(DEMO) == 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -205,7 +206,7 @@ def identity_chain_map(C: VectorComplex) -> ChainMap:
     return ChainMap(C, C, [RationalMatrix.identity(d) for d in C.dims])
 
 
-class SesOfComplexes:
+class SesOfComplexes(namedtuple("SesOfComplexes", "sub_to_mid mid_to_quot")):
     """Degreewise short exact sequence of complexes.
 
     Exactness per degree is equivalent to: the composite vanishes, the
@@ -213,7 +214,7 @@ class SesOfComplexes:
     middle dimension is the sum of the outer ones.
     """
 
-    __slots__ = ("sub_to_mid", "mid_to_quot")
+    __slots__ = ()
 
     def __init__(self, sub_to_mid: ChainMap, mid_to_quot: ChainMap):
         if sub_to_mid.dst != mid_to_quot.src:
@@ -229,8 +230,6 @@ class SesOfComplexes:
                 raise VerificationFailure(f"quot map is not surjective in degree {p}")
             if i.ncols + q.nrows != i.nrows:
                 raise VerificationFailure(f"dimensions do not add up in degree {p}")
-        self.sub_to_mid = sub_to_mid
-        self.mid_to_quot = mid_to_quot
 
     @property
     def sub(self):
@@ -251,7 +250,9 @@ class SesOfComplexes:
 # ---------------------------------------------------------------------------
 # Cohomology presentations.
 
-class CohomologyPresentation:
+class CohomologyPresentation(namedtuple(
+    "CohomologyPresentation", "degree ambient_dim cocycles presentation"
+)):
     """H^n = ker d(n) / im d(n-1) with explicit chosen representatives.
 
     cocycles is the canonical basis of ker d(n) inside the degree-n
@@ -260,13 +261,7 @@ class CohomologyPresentation:
     with equal matrices in degrees n-1, n, n+1 get equal presentations.
     """
 
-    __slots__ = ("degree", "ambient_dim", "cocycles", "presentation")
-
-    def __init__(self, degree, ambient_dim, cocycles, presentation):
-        self.degree = degree
-        self.ambient_dim = ambient_dim
-        self.cocycles = cocycles
-        self.presentation = presentation
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -289,21 +284,7 @@ class CohomologyPresentation:
         Two complexes sharing the matrices around some degree produce
         literally interchangeable presentations there.
         """
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.cocycles == other.cocycles
-            and self.presentation == other.presentation
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CohomologyPresentation)
-            and self.degree == other.degree
-            and self.same_presentation(other)
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.ambient_dim, self.cocycles))
+        return self[1:] == other[1:]
 
     def __repr__(self):
         return f"CohomologyPresentation(degree={self.degree}, dim={self.dim})"

@@ -185,7 +185,7 @@ def derived_connecting(
         RB = registry.resolution(E.quot, p + 2)
         return chase_connecting(F, E, RA, RB, p, rng)
     return registry.connecting(
-        (F, E.a_to_c, E.c_to_b, p),
+        (F, E, p),
         lambda: chase_horseshoe(F, registry.horseshoe(E, p + 2), p),
     )
 

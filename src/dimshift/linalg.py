@@ -31,6 +31,7 @@ comparison and keep every construction deterministic.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction as Rat
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -450,15 +451,10 @@ def inverse(M: RationalMatrix) -> RationalMatrix:
     return X
 
 
-class Subspace:
+class Subspace(namedtuple("Subspace", "ambient_dim basis pivot_rows")):
     """A subspace of Q^ambient_dim with its canonical echelon basis."""
 
-    __slots__ = ("ambient_dim", "basis", "pivot_rows")
-
-    def __init__(self, ambient_dim: int, basis: RationalMatrix, pivot_rows: tuple):
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivot_rows = pivot_rows
+    __slots__ = ()
 
     @classmethod
     def from_columns(cls, M: RationalMatrix) -> "Subspace":
@@ -498,21 +494,13 @@ class Subspace:
     def contains_columns(self, M: RationalMatrix) -> bool:
         return self.express_columns(M) is not NoSolution
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-class QuotientPresentation:
+class QuotientPresentation(namedtuple(
+    "QuotientPresentation", "ambient_dim denominator representative_basis reduction_map"
+)):
     """Q^ambient_dim modulo a subspace, with chosen representatives.
 
     representative_basis columns represent a basis of the quotient;
@@ -521,7 +509,7 @@ class QuotientPresentation:
     a left inverse of representative_basis.
     """
 
-    __slots__ = ("ambient_dim", "denominator", "representative_basis", "reduction_map")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -537,10 +525,6 @@ class QuotientPresentation:
         q = representative_basis.ncols
         if reduction_map @ representative_basis != RationalMatrix.identity(q):
             raise VerificationFailure("reduction map is not a retraction onto representatives")
-        self.ambient_dim = ambient_dim
-        self.denominator = denominator
-        self.representative_basis = representative_basis
-        self.reduction_map = reduction_map
 
     @property
     def dim(self) -> int:
@@ -548,18 +532,6 @@ class QuotientPresentation:
 
     def reduce_columns(self, M: RationalMatrix) -> RationalMatrix:
         return self.reduction_map @ M
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuotientPresentation)
-            and self.ambient_dim == other.ambient_dim
-            and self.denominator == other.denominator
-            and self.representative_basis == other.representative_basis
-            and self.reduction_map == other.reduction_map
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.denominator.basis))
 
     def __repr__(self):
         return f"QuotientPresentation(Q^{self.ambient_dim} / dim {self.denominator.dim})"

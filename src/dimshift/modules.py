@@ -53,15 +53,18 @@ class TruncatedAlgebra(namedtuple("TruncatedAlgebra", "m")):
         return super().__new__(cls, m)
 
 
-class LambdaModule:
+class LambdaModule(namedtuple("LambdaModule", "algebra dim X")):
     """A module (V, X) over k[x]/(x^m): dim(V) = dim, X^m = 0.
 
-    Equality and hashing use the structural fingerprint (m, dim, X
-    entries), so structurally identical modules are interchangeable as
-    cache and registry keys.
+    Equality and hashing use the fields (algebra, dim, X), so
+    structurally identical modules are interchangeable as cache and
+    registry keys.
     """
 
-    __slots__ = ("algebra", "dim", "X")
+    __slots__ = ()
+
+    def __new__(cls, algebra: TruncatedAlgebra, X: RationalMatrix):
+        return super().__new__(cls, algebra, X.nrows, X)
 
     def __init__(self, algebra: TruncatedAlgebra, X: RationalMatrix):
         if X.nrows != X.ncols:
@@ -71,19 +74,6 @@ class LambdaModule:
             power = power @ X
         if not power.is_zero():
             raise VerificationFailure("operator is not nilpotent of the required order")
-        self.algebra = algebra
-        self.dim = X.nrows
-        self.X = X
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LambdaModule)
-            and self.algebra == other.algebra
-            and self.X == other.X
-        )
-
-    def __hash__(self):
-        return hash((self.algebra.m, self.dim, self.X))
 
     def __repr__(self):
         return f"LambdaModule(m={self.algebra.m}, dim={self.dim})"
@@ -123,10 +113,10 @@ def cyclic_module(algebra: TruncatedAlgebra, length: int) -> LambdaModule:
     return LambdaModule(algebra, _shift_blocks([length], length))
 
 
-class ModuleMap:
+class ModuleMap(namedtuple("ModuleMap", "src dst matrix")):
     """A matrix f with f X_src = X_dst f, acting on column vectors."""
 
-    __slots__ = ("src", "dst", "matrix")
+    __slots__ = ()
 
     def __init__(self, src: LambdaModule, dst: LambdaModule, matrix: RationalMatrix):
         if src.algebra != dst.algebra:
@@ -135,20 +125,6 @@ class ModuleMap:
             raise ValueError("matrix shape does not match the endpoints")
         if matrix @ src.X != dst.X @ matrix:
             raise VerificationFailure("matrix does not intertwine the operators")
-        self.src = src
-        self.dst = dst
-        self.matrix = matrix
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModuleMap)
-            and self.src == other.src
-            and self.dst == other.dst
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.src, self.dst, self.matrix))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -170,15 +146,21 @@ def zero_map(src: LambdaModule, dst: LambdaModule) -> ModuleMap:
     return ModuleMap(src, dst, RationalMatrix.zeros(dst.dim, src.dim))
 
 def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
+    """g o f.  Both factors intertwine, so their product does: it is
+    built with no second check."""
     if f.dst != g.src:
         raise ValueError("maps do not compose")
-    return ModuleMap(f.src, g.dst, g.matrix @ f.matrix)
+    return ModuleMap._make((f.src, g.dst, g.matrix @ f.matrix))
 
 
-class SesModules:
-    """A short exact sequence 0 -> A -> C -> B -> 0 of modules."""
+class SesModules(namedtuple("SesModules", "a_to_c c_to_b")):
+    """A short exact sequence 0 -> A -> C -> B -> 0 of modules.
 
-    __slots__ = ("a_to_c", "c_to_b")
+    Given the first map injective and the second surjective, exactness
+    at C is: the composite vanishes and dim C = dim A + dim B.
+    """
+
+    __slots__ = ()
 
     def __init__(self, a_to_c: ModuleMap, c_to_b: ModuleMap):
         if a_to_c.dst != c_to_b.src:
@@ -187,12 +169,11 @@ class SesModules:
             raise VerificationFailure("first map is not injective")
         if not c_to_b.is_epi():
             raise VerificationFailure("second map is not surjective")
-        mid = Subspace.from_columns(a_to_c.matrix)
-        ker = Subspace.from_columns(kernel_basis(c_to_b.matrix))
-        if mid != ker:
+        if (
+            not (c_to_b.matrix @ a_to_c.matrix).is_zero()
+            or a_to_c.src.dim + c_to_b.dst.dim != a_to_c.dst.dim
+        ):
             raise VerificationFailure("not exact at the middle object")
-        self.a_to_c = a_to_c
-        self.c_to_b = c_to_b
 
     @property
     def sub(self) -> LambdaModule:
@@ -311,7 +292,7 @@ def embed_into_injective(M: LambdaModule) -> ModuleMap:
 # ---------------------------------------------------------------------------
 # Hom spaces.
 
-class HomBasis:
+class HomBasis(namedtuple("HomBasis", "A B cf_A cf_B slots")):
     """Deterministic basis of Hom(A, B) from the block decompositions.
 
     A map between cyclic blocks of sizes a and b is determined by the
@@ -325,20 +306,18 @@ class HomBasis:
     coordinates.
     """
 
-    __slots__ = ("A", "B", "cf_A", "cf_B", "slots", "_elements")
+    __slots__ = ()
 
-    def __init__(self, A: LambdaModule, B: LambdaModule):
-        self.A = A
-        self.B = B
-        self.cf_A = canonical_form(A)
-        self.cf_B = canonical_form(B)
-        self.slots = tuple(
+    def __new__(cls, A: LambdaModule, B: LambdaModule):
+        cf_A = canonical_form(A)
+        cf_B = canonical_form(B)
+        slots = tuple(
             (r, off + b - k, k)
-            for r, a in enumerate(self.cf_A.block_sizes)
-            for off, b in zip(self.cf_B.offsets, self.cf_B.block_sizes)
+            for r, a in enumerate(cf_A.block_sizes)
+            for off, b in zip(cf_B.offsets, cf_B.block_sizes)
             for k in range(min(a, b), 0, -1)
         )
-        self._elements = [None] * len(self.slots)
+        return super().__new__(cls, A, B, cf_A, cf_B, slots)
 
     @property
     def dim(self) -> int:
@@ -348,14 +327,10 @@ class HomBasis:
         """The idx-th basis intertwiner A -> B as an explicit matrix:
         P_B's chain columns row..row+k-1 times P_A_inv's first k rows
         of block r."""
-        cached = self._elements[idx]
-        if cached is None:
-            r, row, k = self.slots[idx]
-            src = self.cf_A.offsets[r]
-            cached = self._elements[idx] = self.cf_B.P.take(
-                range(self.B.dim), range(row, row + k)
-            ) @ self.cf_A.P_inv.take(range(src, src + k), range(self.A.dim))
-        return cached
+        r, row, k = self.slots[idx]
+        src = self.cf_A.offsets[r]
+        chain = self.cf_B.P.take(range(self.B.dim), range(row, row + k))
+        return chain @ self.cf_A.P_inv.take(range(src, src + k), range(self.A.dim))
 
     def coordinates(self, h: RationalMatrix) -> tuple:
         """Coordinates of an intertwiner h: A -> B in this basis."""

@@ -41,18 +41,17 @@ from .modules import (
     embed_into_injective,
     extend_along_mono,
     image_factorization,
-    is_injective,
 )
 
 
-class Resolution:
+class Resolution(namedtuple("Resolution", "base augmentation complex")):
     """An exact augmented cochain complex 0 -> base -> J^0 -> J^1 -> ...
 
     Exactness is validated in degrees 0..horizon-1; degree `horizon`
     is where the truncation cuts, so no claim is made there.
     """
 
-    __slots__ = ("base", "augmentation", "complex")
+    __slots__ = ()
 
     def __init__(self, base: LambdaModule, augmentation: ModuleMap, complex: ModuleComplex):
         if augmentation.src != base or augmentation.dst != complex.objects[0]:
@@ -68,18 +67,6 @@ class Resolution:
             if complex.objects[p].dim - ranks[p] != incoming:
                 raise VerificationFailure(f"resolution is not exact in degree {p}")
             incoming = ranks[p]
-        self.base = base
-        self.augmentation = augmentation
-        self.complex = complex
-
-    @classmethod
-    def _trusted(cls, base, augmentation, complex) -> "Resolution":
-        """Construction bypass for slices of already-validated data."""
-        self = object.__new__(cls)
-        self.base = base
-        self.augmentation = augmentation
-        self.complex = complex
-        return self
 
     @property
     def horizon(self) -> int:
@@ -93,14 +80,12 @@ class Resolution:
         return self.complex.maps[p]
 
     def truncate(self, horizon: int) -> "Resolution":
+        """The first degrees through horizon.  This resolution passed
+        its constructor, so the truncation is built with no second
+        check."""
         if horizon == self.horizon:
             return self
-        return Resolution._trusted(
-            self.base, self.augmentation, self.complex.truncate(horizon)
-        )
-
-    def is_degreewise_injective(self) -> bool:
-        return all(is_injective(J) for J in self.objects)
+        return Resolution._make((self.base, self.augmentation, self.complex.truncate(horizon)))
 
     def __repr__(self):
         return f"Resolution(base dim {self.base.dim}, horizon {self.horizon})"
@@ -178,13 +163,12 @@ class ResolutionRegistry:
         """The canonical horseshoe of E over the registry resolutions,
         through at least the horizon: the kept one, grown if it is
         shorter."""
-        key = (E.a_to_c, E.c_to_b)
-        kept = self._horseshoes.pop(key, None)
+        kept = self._horseshoes.pop(E, None)
         if kept is None or kept.resolution.horizon < horizon:
             RA = self.resolution(E.sub, horizon)
             RB = self.resolution(E.quot, horizon)
             kept = horseshoe(E, RA, RB, prefix=kept)
-        _keep(self._horseshoes, key, kept)
+        _keep(self._horseshoes, E, kept)
         return kept
 
     def connecting(self, key, chase) -> RationalMatrix:

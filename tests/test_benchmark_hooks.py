@@ -27,6 +27,15 @@ def test_every_traced_attribute_exists_on_its_owner():
         assert callable(getattr(owner, attribute, None)), metric
 
 
+def test_every_traced_method_is_defined_on_its_own_class():
+    # install() wraps owner.__dict__[attribute]: an __init__ inherited
+    # from object or tuple passes the check above, but is not the
+    # constructor the span should time.
+    for metric, owner, attribute, _ in load_spans()._public_layers():
+        if isinstance(owner, type):
+            assert attribute in vars(owner), metric
+
+
 def test_the_trial_marks_find_their_hooks():
     # The suites the CLI calls through its module globals close a trial.
     for name in ("run_sign_suite", "run_connecting_suite", "run_step_sign_suite", "run_demo"):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dimshift.linalg import Rat, RationalMatrix, VerificationFailure, kernel_basis, rank
 from dimshift.modules import (
@@ -144,6 +145,17 @@ def test_ses_constructor_rejects_inexact_data(k2):
         SesModules(identity_map(k2), identity_map(k2))
 
 
+def test_ses_constructor_rejects_a_zero_composite_of_the_wrong_size(alg2, k2):
+    # k -> k^3 -> k is injective, then surjective, and the composite is
+    # zero; but 1 + 1 != 3, so the middle is not exact.
+    k3 = LambdaModule(alg2, RationalMatrix.zeros(3, 3))
+    first = ModuleMap(k2, k3, RationalMatrix([[1], [0], [0]], 1))
+    last = ModuleMap(k3, k2, RationalMatrix([[0, 0, 1]], 3))
+    assert first.is_mono() and last.is_epi() and compose(last, first).is_zero()
+    with pytest.raises(VerificationFailure, match="not exact at the middle object"):
+        SesModules(first, last)
+
+
 # -- oracle cross-checks -----------------------------------------------------
 
 def test_hom_dimension_against_dense_oracle():
@@ -273,6 +285,24 @@ def test_functor_respects_composition():
         f = gen_random_map(A, B, rng)
         g = gen_random_map(B, C, rng)
         assert apply_F_map(F, compose(g, f)) == apply_F_map(F, g) @ apply_F_map(F, f)
+
+
+# compose builds the product with no second check: each factor was
+# checked when it was made.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3))
+def test_compose_equals_the_checked_product(seed, m):
+    rng = random.Random(seed)
+    cfg = GeneratorConfig(seed=0, m=m, max_dim=5)
+    A, B, C = (gen_random_module(cfg, rng) for _ in range(3))
+    f = gen_random_map(A, B, rng)
+    g = gen_random_map(B, C, rng)
+    assert compose(g, f) == ModuleMap(f.src, g.dst, g.matrix @ f.matrix)
+
+
+def test_compose_checks_its_endpoints(k2, lam2):
+    with pytest.raises(ValueError, match="maps do not compose"):
+        compose(identity_map(k2), identity_map(lam2))
 
 
 def test_functor_on_a_map_is_post_composition():

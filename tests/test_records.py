@@ -2,7 +2,9 @@
 line loads no dataclasses, every record is frozen, and the checks that
 ran after construction still run in the constructor."""
 
+import functools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import dimshift
-from dimshift import derived, harness, modules, resolutions
+from dimshift import complexes, derived, harness, linalg, modules, resolutions
 from dimshift.cli import main
 from dimshift.harness import ConfigError, GeneratorConfig, run_sign_suite
+from dimshift.linalg import RationalMatrix
 from dimshift.modules import (
     FunctorSpec,
     TruncatedAlgebra,
@@ -21,6 +24,7 @@ from dimshift.modules import (
     identity_map,
     simple_module,
 )
+from dimshift.resolutions import Resolution, ResolutionRegistry, injective_resolution
 
 RECORDS = [
     modules.TruncatedAlgebra,
@@ -39,6 +43,16 @@ RECORDS = [
     resolutions.TwistedSum,
     harness.GeneratorConfig,
     harness.RunReport,
+    # The values whose constructors check an invariant.
+    linalg.Subspace,
+    linalg.QuotientPresentation,
+    modules.LambdaModule,
+    modules.ModuleMap,
+    modules.SesModules,
+    modules.HomBasis,
+    complexes.SesOfComplexes,
+    complexes.CohomologyPresentation,
+    resolutions.Resolution,
 ]
 SLOW_TO_LOAD = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
@@ -56,7 +70,33 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert out.stdout == "[]\n"
 
 
+@functools.cache
+def checked_values() -> dict:
+    """One value of each class whose constructor checks an invariant,
+    built as the package builds it."""
+    algebra = TruncatedAlgebra(2)
+    k = simple_module(algebra)
+    E = harness.gen_random_ses(GeneratorConfig(max_dim=4), random.Random(5))
+    hs = ResolutionRegistry().horseshoe(E, 2)
+    C = complexes.VectorComplex([1, 1], [RationalMatrix.zeros(1, 1)])
+    H = complexes.cohomology(C, 0)
+    return {
+        linalg.Subspace: H.cocycles,
+        linalg.QuotientPresentation: H.presentation,
+        modules.LambdaModule: k,
+        modules.ModuleMap: identity_map(k),
+        modules.SesModules: E,
+        modules.HomBasis: modules.hom_basis(k, cyclic_module(algebra, 2)),
+        complexes.SesOfComplexes: hs.ses,
+        complexes.CohomologyPresentation: H,
+        resolutions.Resolution: hs.resolution,
+    }
+
+
 def an_instance(cls):
+    checked = checked_values()
+    if cls in checked:
+        return checked[cls]
     if cls is TruncatedAlgebra:
         return TruncatedAlgebra(2)
     if cls is FunctorSpec:
@@ -113,3 +153,33 @@ def test_equal_functor_specs_hit_one_memo_entry():
     apply_F_map(specs[1], f)
     after = apply_F_map.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_truncating_a_resolution_checks_nothing_again(monkeypatch):
+    R = injective_resolution(cyclic_module(TruncatedAlgebra(3), 2), 5)
+    checked = []
+    init = Resolution.__init__
+
+    def counting(self, *args):
+        checked.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Resolution, "__init__", counting)
+    short = R.truncate(2)
+    assert checked == []
+    assert type(short) is Resolution and short.horizon == 2
+    assert short.complex == R.complex.truncate(2)
+    # The public constructor of the same parts does check them.
+    assert Resolution(*short) == short
+    assert len(checked) == 1
+
+
+def test_a_grown_registry_resolution_equals_the_fresh_build():
+    M = cyclic_module(TruncatedAlgebra(3), 2)
+    registry = ResolutionRegistry()
+    registry.resolution(M, 2)
+    grown = registry.resolution(M, 6)
+    fresh = injective_resolution(M, 6)
+    assert grown is not fresh
+    assert grown == fresh and hash(grown) == hash(fresh)
+    assert grown != injective_resolution(M, 5)

@@ -50,18 +50,20 @@ from .modules import (
 NotHomotopic = Sentinel("NotHomotopic")
 
 
-class VectorComplex:
+class VectorComplex(namedtuple("VectorComplex", "dims differentials")):
     """Rational cochain complex: dims per degree, d(p): C^p -> C^(p+1).
 
     The one place where a complex is checked: one differential per
     adjacent pair of degrees, each of the right shape, and d o d = 0.
     """
 
-    __slots__ = ("dims", "differentials")
+    __slots__ = ()
+
+    def __new__(cls, dims: Sequence[int], differentials: Sequence[RationalMatrix]):
+        return super().__new__(cls, tuple(dims), tuple(differentials))
 
     def __init__(self, dims: Sequence[int], differentials: Sequence[RationalMatrix]):
-        dims = tuple(dims)
-        differentials = tuple(differentials)
+        dims, differentials = self.dims, self.differentials
         if len(differentials) != len(dims) - 1:
             raise ValueError("need exactly one differential per adjacent pair")
         for p, d in enumerate(differentials):
@@ -70,12 +72,6 @@ class VectorComplex:
         for p in range(len(differentials) - 1):
             if not (differentials[p + 1] @ differentials[p]).is_zero():
                 raise VerificationFailure(f"d o d is nonzero in degree {p}")
-        self.dims = dims
-        self.differentials = differentials
-
-    def _parts(self) -> tuple:
-        """The constructor's arguments: one entry per degree, one per edge."""
-        return self.dims, self.differentials
 
     @property
     def horizon(self) -> int:
@@ -92,91 +88,77 @@ class VectorComplex:
         raise ValueError("degree out of range")
 
     def slice(self, lo: int, hi: int):
-        """Degrees lo..hi as a complex of the same kind.  This complex
-        passed its constructor and is immutable, so the slice is built
-        with no second check."""
+        """Degrees lo..hi as a complex of the same kind: a per-degree
+        field keeps lo..hi, a per-edge field lo..hi-1.  This complex
+        passed its constructor, so the slice is built with no second
+        check."""
         if not 0 <= lo <= hi <= self.horizon:
             raise ValueError("slice out of range")
-        piece = object.__new__(type(self))
-        piece.dims = self.dims[lo : hi + 1]
-        piece.differentials = self.differentials[lo:hi]
-        return piece
+        return self._make(part[lo : hi + (len(part) > self.horizon)] for part in self)
 
     def truncate(self, horizon: int):
         return self.slice(0, horizon)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._parts() == other._parts()
-
-    def __hash__(self):
-        return hash((self.dims, self.differentials))
 
     def __repr__(self):
         return f"{type(self).__name__}(dims={list(self.dims)})"
 
 
-class ModuleComplex(VectorComplex):
+class ModuleComplex(namedtuple("ModuleComplex", "dims differentials objects maps"), VectorComplex):
     """Cochain complex of modules: the vector complex of its differential
     matrices, plus the modules in each degree and the intertwining maps."""
 
-    __slots__ = ("objects", "maps")
+    __slots__ = ()
+
+    def __new__(cls, objects: Sequence[LambdaModule], maps: Sequence[ModuleMap]):
+        objects, maps = tuple(objects), tuple(maps)
+        dims = tuple(M.dim for M in objects)
+        return super().__new__(cls, dims, tuple(d.matrix for d in maps), objects, maps)
 
     def __init__(self, objects: Sequence[LambdaModule], maps: Sequence[ModuleMap]):
-        objects = tuple(objects)
-        maps = tuple(maps)
-        for p, (d, A, B) in enumerate(zip(maps, objects, objects[1:])):
+        for p, (d, A, B) in enumerate(zip(self.maps, self.objects, self.objects[1:])):
             if d.src != A or d.dst != B:
                 raise ValueError(f"differential {p} has the wrong endpoints")
-        super().__init__([M.dim for M in objects], [d.matrix for d in maps])
-        self.objects = objects
-        self.maps = maps
+        VectorComplex.__init__(self, self.dims, self.differentials)
 
-    def _parts(self) -> tuple:
-        return self.objects, self.maps
-
-    def slice(self, lo: int, hi: int):
-        piece = super().slice(lo, hi)
-        piece.objects = self.objects[lo : hi + 1]
-        piece.maps = self.maps[lo:hi]
-        return piece
+    __repr__ = VectorComplex.__repr__
 
 
-class ChainMap:
+class ChainMap(namedtuple("ChainMap", "src dst components maps")):
     """Degreewise map of complexes commuting with the differentials.
 
     Both endpoints must be the same kind of complex with the same
-    horizon.  Between vector complexes the components are matrices;
-    between module complexes they are the module maps, each checked to
-    intertwine when it was made, kept as maps beside their matrices.
+    horizon.  Between vector complexes the components are matrices and
+    maps is None; between module complexes maps are the module maps,
+    each checked to intertwine when it was made, and the components
+    their matrices.
     """
 
-    __slots__ = ("src", "dst", "components", "maps")
+    __slots__ = ()
+
+    def __new__(cls, src, dst, components: Sequence):
+        maps = None
+        components = tuple(components)
+        if type(src) is type(dst) is ModuleComplex:
+            maps, components = components, tuple(g.matrix for g in components)
+        return super().__new__(cls, src, dst, components, maps)
 
     def __init__(self, src, dst, components: Sequence):
         if type(src) is not type(dst):
             raise ValueError("chain map endpoints must be the same kind of complex")
         if src.horizon != dst.horizon:
             raise ValueError("chain map endpoints must share a horizon")
-        components = tuple(components)
+        components = self.components
         if len(components) != src.horizon + 1:
             raise ValueError("need one component per degree")
-        maps = None
-        if isinstance(src, ModuleComplex):
-            maps = components
-            for p, g in enumerate(maps):
-                if g.src != src.objects[p] or g.dst != dst.objects[p]:
-                    raise ValueError(f"component {p} has the wrong endpoints")
-            components = tuple(g.matrix for g in maps)
+        for p, g in enumerate(self.maps or ()):
+            if g.src != src.objects[p] or g.dst != dst.objects[p]:
+                raise ValueError(f"component {p} has the wrong endpoints")
         for p, comp in enumerate(components):
             if (comp.nrows, comp.ncols) != (dst.dims[p], src.dims[p]):
                 raise ValueError(f"component {p} has the wrong shape")
         for p in range(src.horizon):
             if components[p + 1] @ src.differentials[p] != dst.differentials[p] @ components[p]:
                 raise VerificationFailure(f"square at degree {p} does not commute")
-        self.src = src
-        self.dst = dst
-        self.components = components
-        self.maps = maps
 
     @property
     def horizon(self) -> int:
@@ -184,17 +166,6 @@ class ChainMap:
 
     def is_module_level(self) -> bool:
         return self.maps is not None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChainMap)
-            and self.src == other.src
-            and self.dst == other.dst
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash(self.components)
 
     def __repr__(self):
         return f"ChainMap(horizon={self.horizon})"

@@ -301,7 +301,8 @@ def horseshoe(
         aug = RationalMatrix.vstack([t.matrix, along.matrix])
         prev = t.matrix
     for p in range(len(thetas), h):
-        rhs = ModuleMap(along.src, RA.objects[p + 1], -(RA.differential(p).matrix @ prev))
+        # -d_A^p o theta^(p-1): both factors intertwine, so no second check.
+        rhs = ModuleMap._make((along.src, RA.objects[p + 1], -(RA.differential(p).matrix @ prev)))
         prev = extend_along_mono(along, rhs, rng).matrix
         thetas.append(prev)
         along = RB.differential(p)

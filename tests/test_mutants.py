@@ -98,16 +98,28 @@ def test_a_cylinder_twist_of_minus_one_to_the_p_fails_only_the_steps(monkeypatch
     assert run_counting_failures(DEMO, tmp_path) == (0, {None: (0, 6)})
 
 
-def test_a_constant_sign_fails_the_sign_suite(monkeypatch):
+def failing_errors(args, tmp_path):
+    """The exit code, and the errors of the failed trials: None where a
+    trial ran to a failing verdict."""
+    out = tmp_path / "report.json"
+    code = main(args + ["--output", str(out)])
+    trials = json.loads(out.read_text())["trials"]
+    return code, {t.get("error") for t in trials if t["verdict"] == "fail"}
+
+
+def test_a_constant_sign_fails_the_sign_suite(monkeypatch, tmp_path):
+    # The lemmas command sees it in the products of the step signs.
     for module in (derived, harness):
         monkeypatch.setattr(module, "sign_factor", lambda n: 1)
-    assert main(SIGN) == 1
+    for args in (SIGN, LEMMAS, DEMO):
+        assert failing_errors(args, tmp_path) == (1, {None})
 
 
-def test_a_negated_connecting_map_fails_the_sign_suite(monkeypatch):
+def test_a_negated_connecting_map_fails_the_sign_suite(monkeypatch, tmp_path):
     snake = derived.snake_delta_matrix
     monkeypatch.setattr(derived, "snake_delta_matrix", lambda *args: -snake(*args))
-    assert main(SIGN) == 1
+    for args in (SIGN, LEMMAS, DEMO):
+        assert failing_errors(args, tmp_path) == (1, {None})
 
 
 def test_a_negated_connecting_map_fails_only_the_shift_steps(monkeypatch, tmp_path):

@@ -50,6 +50,9 @@ RECORDS = [
     modules.ModuleMap,
     modules.SesModules,
     modules.HomBasis,
+    complexes.VectorComplex,
+    complexes.ModuleComplex,
+    complexes.ChainMap,
     complexes.SesOfComplexes,
     complexes.CohomologyPresentation,
     resolutions.Resolution,
@@ -78,6 +81,7 @@ def checked_values() -> dict:
     k = simple_module(algebra)
     E = harness.gen_random_ses(GeneratorConfig(max_dim=4), random.Random(5))
     hs = ResolutionRegistry().horseshoe(E, 2)
+    F = FunctorSpec(E.sub.algebra, simple_module(E.sub.algebra))
     C = complexes.VectorComplex([1, 1], [RationalMatrix.zeros(1, 1)])
     H = complexes.cohomology(C, 0)
     return {
@@ -87,6 +91,9 @@ def checked_values() -> dict:
         modules.ModuleMap: identity_map(k),
         modules.SesModules: E,
         modules.HomBasis: modules.hom_basis(k, cyclic_module(algebra, 2)),
+        complexes.VectorComplex: complexes.apply_F_complex(F, hs.resolution.complex),
+        complexes.ModuleComplex: hs.resolution.complex,
+        complexes.ChainMap: hs.ses.sub_to_mid,
         complexes.SesOfComplexes: hs.ses,
         complexes.CohomologyPresentation: H,
         resolutions.Resolution: hs.resolution,

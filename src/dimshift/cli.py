@@ -3,7 +3,8 @@
 Subcommands: demo, verify-sign, verify-lemmas, sign-table, dump.
 Every verifying subcommand exits 0 exactly when its aggregate verdict
 is a pass and 1 when it fails, printing the first failing trial; a
-flag value the configuration rejects prints one line and exits 2.
+flag value the configuration rejects, or an --output path that cannot
+be opened for writing, prints one line and exits 2 before any work.
 """
 
 from __future__ import annotations
@@ -196,9 +197,14 @@ def main(argv: Optional[list] = None) -> int:
             GeneratorConfig(m=args.m)  # the same --m check as the suites'
         elif args.command != "sign-table":
             args.config = _config_from_args(args)
+        if getattr(args, "output", None):
+            open(args.output, "a").close()  # fail before the run; "a" keeps existing bytes
     except ConfigError as exc:
         flag = "--" + exc.field.replace("_", "-")
         print(f"{args.command}: {flag} {exc.requirement}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"{args.command}: --output {args.output}: {exc.strerror}", file=sys.stderr)
         return 2
     handlers = {
         "demo": _cmd_demo,

@@ -36,9 +36,9 @@ from .linalg import (
 
 
 # Entries each content-keyed memo (canonical forms, Hom bases, F of a
-# map, image factorizations, direct sums, F-complexes, cohomology, and a
-# registry's resolutions, horseshoes and connecting maps) keeps before
-# it evicts the least recently used.
+# map, image factorizations, direct sums, rng-free extensions,
+# F-complexes, cohomology, and a registry's resolutions and connecting
+# maps) keeps before it evicts the least recently used.
 MEMO_SIZE = 256
 
 
@@ -496,8 +496,18 @@ def extend_along_mono(
     vanish on ker f, which a monomorphism satisfies automatically.
     When it does not, the functional system is inconsistent and
     VerificationFailure is raised.  rng, when given, varies the
-    extension within its solution space.
+    extension within its solution space; without one, the extension
+    depends only on (f, g) and is memoized on them.
     """
+    return _extend(f, g, rng) if rng is not None else _canonical_extension(f, g)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _canonical_extension(f: ModuleMap, g: ModuleMap) -> ModuleMap:
+    return _extend(f, g, None)
+
+
+def _extend(f: ModuleMap, g: ModuleMap, rng: Optional[random.Random]) -> ModuleMap:
     E = g.dst
     C = f.dst
     if f.src != g.src:

@@ -129,25 +129,21 @@ def _keep(store: dict, key, value) -> None:
 
 
 class ResolutionRegistry:
-    """Shared cache of results that depend only on content: the
-    deterministic resolution of each module, the canonical (rng-free)
-    horseshoe of each short exact sequence, and the canonical
-    connecting maps that derived.derived_connecting chases on those
-    horseshoes.
+    """Shared cache of the deterministic resolution of each module and
+    of the canonical connecting maps that derived.derived_connecting
+    chases over those resolutions.
 
-    The constructions never depend on the requested horizon, so a
-    longer request continues the cached build from its last
-    differential or theta instead of starting over, and a shorter one
-    is served by the longer build; every presentation stays aligned
-    across calls.  An extended resolution or horseshoe is checked again
-    in every degree.  Each store keeps its MEMO_SIZE most recently used
-    entries; since every entry is deterministic, one rebuilt after
-    eviction equals the one evicted.
+    A resolution never depends on the requested horizon, so a longer
+    request continues the cached build from its last differential
+    instead of starting over, and a shorter one is served by the longer
+    build; every presentation stays aligned across calls.  An extended
+    resolution is checked again in every degree.  Each store keeps its
+    MEMO_SIZE most recently used entries; since every entry is
+    deterministic, one rebuilt after eviction equals the one evicted.
     """
 
     def __init__(self):
         self._store: dict = {}
-        self._horseshoes: dict = {}
         self._connecting: dict = {}
 
     def resolution(self, M: LambdaModule, horizon: int) -> Resolution:
@@ -158,18 +154,6 @@ class ResolutionRegistry:
             cached = _resolve(M, cached.augmentation, cached.objects, cached.complex.maps, horizon)
         _keep(self._store, M, cached)
         return cached.truncate(horizon)
-
-    def horseshoe(self, E: SesModules, horizon: int) -> "TwistedSum":
-        """The canonical horseshoe of E over the registry resolutions,
-        through at least the horizon: the kept one, grown if it is
-        shorter."""
-        kept = self._horseshoes.pop(E, None)
-        if kept is None or kept.resolution.horizon < horizon:
-            RA = self.resolution(E.sub, horizon)
-            RB = self.resolution(E.quot, horizon)
-            kept = horseshoe(E, RA, RB, prefix=kept)
-        _keep(self._horseshoes, E, kept)
-        return kept
 
     def connecting(self, key, chase) -> RationalMatrix:
         """The canonical connecting map kept under key; on a miss, chase()
@@ -229,7 +213,7 @@ def split_resolution(J: Resolution, depth: int) -> ResolutionSplitting:
 # ---------------------------------------------------------------------------
 # Twisted direct sums: the horseshoe filler and the two-term cylinder.
 
-class TwistedSum(namedtuple("TwistedSum", "resolution ses thetas")):
+class TwistedSum(namedtuple("TwistedSum", "resolution ses")):
     """A resolution whose degree-p object is sub^p (+) quot^p, with the
     degreewise-split sequence 0 -> sub -> resolution -> quot -> 0."""
 
@@ -262,7 +246,7 @@ def _glue(
         ChainMap(sub, resolution.complex, [s.include_left for s in sums]),
         ChainMap(resolution.complex, quot, [s.project_right for s in sums]),
     )
-    return TwistedSum(resolution, ses, tuple(thetas))
+    return TwistedSum(resolution, ses)
 
 
 def horseshoe(
@@ -270,7 +254,6 @@ def horseshoe(
     sub_resolution: Resolution,
     quot_resolution: Resolution,
     rng: Optional[random.Random] = None,
-    prefix: Optional[TwistedSum] = None,
 ) -> TwistedSum:
     """Fill the middle column over resolutions of the outer terms.
 
@@ -282,25 +265,20 @@ def horseshoe(
     the kernel it must, by exactness of the outer resolutions.  rng
     varies every extension; the connecting maps do not depend on it.
 
-    prefix, a horseshoe of E over truncations of the same resolutions,
-    keeps its augmentation and thetas, and the ladder continues from
-    its last theta; every degree is glued and checked again.
+    Without rng each extension is memoized on its two maps, so a
+    canonical horseshoe rebuilt to a longer horizon solves only its new
+    thetas; every degree is glued and checked again.
     """
     if sub_resolution.base != E.sub or quot_resolution.base != E.quot:
         raise ValueError("resolutions do not match the sequence ends")
     h = min(sub_resolution.horizon, quot_resolution.horizon)
     RA = sub_resolution.truncate(h)
     RB = quot_resolution.truncate(h)
-    thetas = list(prefix.thetas[:h]) if prefix is not None else []
-    if thetas:
-        aug = prefix.resolution.augmentation.matrix
-        prev, along = thetas[-1], RB.differential(len(thetas) - 1)
-    else:
-        t = extend_along_mono(E.a_to_c, RA.augmentation, rng)
-        along = compose(RB.augmentation, E.c_to_b)
-        aug = RationalMatrix.vstack([t.matrix, along.matrix])
-        prev = t.matrix
-    for p in range(len(thetas), h):
+    prev = extend_along_mono(E.a_to_c, RA.augmentation, rng).matrix
+    along = compose(RB.augmentation, E.c_to_b)
+    aug = RationalMatrix.vstack([prev, along.matrix])
+    thetas = []
+    for p in range(h):
         # -d_A^p o theta^(p-1): both factors intertwine, so no second check.
         rhs = ModuleMap._make((along.src, RA.objects[p + 1], -(RA.differential(p).matrix @ prev)))
         prev = extend_along_mono(along, rhs, rng).matrix
@@ -350,7 +328,7 @@ def cylinder_resolution(J: Resolution, splitting: ResolutionSplitting, i: int) -
     The sign alternates so that the squares close; _glue re-checks
     d o d = 0, augmented exactness and the surrounding sequence.
     """
-    if splitting.resolution is not J:
+    if splitting.resolution != J:
         raise ValueError("splitting belongs to a different resolution")
     if not 0 <= i + 1 <= splitting.depth:
         raise ValueError("cylinder needs cycle data one step past its start")

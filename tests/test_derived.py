@@ -1,11 +1,10 @@
 """Derived functors, comparison and shift isomorphisms, sign checks."""
 
 import random
-import sys
 
 import pytest
 
-from dimshift import derived, resolutions
+from dimshift import derived, modules
 from dimshift.linalg import (
     Rat,
     RationalMatrix,
@@ -234,18 +233,32 @@ def test_connecting_is_independent_of_horseshoe_and_chase_choices(registry):
 
 
 def count_horseshoes(monkeypatch) -> list:
-    """One entry per horseshoe a connecting chase builds or grows from
-    now on: fresh chases call it from derived, the registry's canonical
-    horseshoes from resolutions."""
+    """One entry per horseshoe a connecting chase fills from now on,
+    canonical or fresh: both are filled in derived.chase_connecting."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(None)
         return horseshoe(*args, **kwargs)
 
-    for module in (derived, resolutions):
-        monkeypatch.setattr(module, "horseshoe", counted)
+    monkeypatch.setattr(derived, "horseshoe", counted)
     return calls
+
+
+def count_chases(monkeypatch) -> list:
+    chases = []
+    chase = derived.chase_connecting
+
+    def counted(*args):
+        chases.append(None)
+        return chase(*args)
+
+    monkeypatch.setattr(derived, "chase_connecting", counted)
+    return chases
+
+
+def test_the_registry_keeps_resolutions_and_connecting_maps_only():
+    assert set(vars(ResolutionRegistry())) == {"_store", "_connecting"}
 
 
 def test_only_canonical_connecting_maps_are_kept(monkeypatch, alg2, k2, registry):
@@ -253,18 +266,30 @@ def test_only_canonical_connecting_maps_are_kept(monkeypatch, alg2, k2, registry
     F = FunctorSpec(alg2, k2)
     E = standard_ses(k2)
     chased = derived_connecting(F, E, 1, registry, random.Random(0))
-    assert registry._connecting == {} and registry._horseshoes == {}
+    assert registry._connecting == {}
     assert len(calls) == 1
     canonical = derived_connecting(F, E, 1, registry)
     assert derived_connecting(F, E, 1, registry) == canonical == chased
     assert len(registry._connecting) == 1 and len(calls) == 2
-    assert len(registry._horseshoes) == 1
-    kept = registry._horseshoes[E.a_to_c, E.c_to_b]
     assert derived_connecting(F, E, 1, registry, random.Random(1)) == canonical
     derived_connecting(F, E, 2, registry, random.Random(2))
     assert len(calls) == 4 and len(registry._connecting) == 1
-    (still,) = registry._horseshoes.values()
-    assert still is kept and kept.resolution.horizon == 3
+
+
+def test_fresh_fillings_leave_the_extension_memo_and_the_registry_alone(registry):
+    # The connecting suite's independence check: two fresh fillings of
+    # each random sequence, and comparison lifts with the same rng.
+    rng = random.Random(41)
+    cfg = GeneratorConfig(seed=41, m=2, max_dim=8)
+    for _ in range(3):
+        F = gen_random_functor(cfg, rng)
+        E = gen_random_ses(cfg, rng)
+        before = modules._canonical_extension.cache_info()
+        derived_connecting(F, E, 1, registry, rng)
+        derived_connecting(F, E, 1, registry, rng)
+        comparison_iso(F, E.quot, registry.resolution(E.quot, 3), 1, registry, rng)
+        assert modules._canonical_extension.cache_info() == before
+        assert registry._connecting == {}
 
 
 def test_the_lemma_suite_still_chases_every_random_filling(monkeypatch):
@@ -279,35 +304,23 @@ def test_the_lemma_suite_still_chases_every_random_filling(monkeypatch):
 def test_the_deep_demo_chases_each_canonical_connecting_map_once(monkeypatch):
     # The shift to degree n takes n connecting maps, 45 through n = 9;
     # the cycles of the resolution of k alternate, so 17 of them differ.
-    # Each is chased once, on a horseshoe built or grown for it.
+    # Each is chased once, on a horseshoe filled for it.
     horseshoes = count_horseshoes(monkeypatch)
-    chases = []
-    chase = derived.chase_horseshoe
-
-    def counted(*args):
-        chases.append(None)
-        return chase(*args)
-
-    monkeypatch.setattr(derived, "chase_horseshoe", counted)
+    chases = count_chases(monkeypatch)
     run_demo(3, 9)
     assert len(chases) == len(horseshoes) == 17
 
 
-def test_the_deep_demo_grows_each_canonical_horseshoe_one_theta_at_a_time(monkeypatch):
-    # Two sequences, asked at p = 0, 1, 2, ... in turn: each canonical
-    # horseshoe solves t and its thetas once, 21 extensions for the 17
-    # chases (115 when every chase rebuilt its horseshoe from degree 0).
-    calls = []
-    extend = resolutions.extend_along_mono
-
-    def counted(*args):
-        if sys._getframe(1).f_code.co_name == "horseshoe":
-            calls.append(None)
-        return extend(*args)
-
-    monkeypatch.setattr(resolutions, "extend_along_mono", counted)
+def test_the_deep_demo_solves_six_extension_problems(monkeypatch):
+    # The resolution of k has period two, so every horseshoe theta and
+    # every comparison lift component is one of six rng-free extension
+    # problems; the other 172 of the 178 calls are memo hits.
+    modules._canonical_extension.cache_clear()
+    chases = count_chases(monkeypatch)
     run_demo(3, 9)
-    assert len(calls) == 21
+    info = modules._canonical_extension.cache_info()
+    assert (info.misses, info.hits) == (6, 172)
+    assert len(chases) == 17
 
 
 def ses_endomorphism(E, rng):

@@ -3,8 +3,8 @@ and the package defines one invariant-failure class.
 
 State such a container would hold is shared by every caller in the
 process, so one run could see what another left behind.  Memos are
-bounded functools.lru_cache wrappers instead.  A second failure class
-would be one a suite does not catch as a failed trial.
+functools.lru_cache wrappers bounded at MEMO_SIZE instead.  A second
+failure class would be one a suite does not catch as a failed trial.
 """
 
 import ast
@@ -54,6 +54,44 @@ def test_no_module_level_mutable_containers():
         if (found := module_level_containers(path.read_text()))
     }
     assert offenders == {}
+
+
+MEMO_DECORATORS = {"functools.lru_cache", "lru_cache", "functools.cache", "cache"}
+BOUNDED_MEMO = "functools.lru_cache(maxsize=MEMO_SIZE)"
+
+
+def memo_uses(source: str) -> list:
+    """(line, text) of every use of an lru_cache or cache decorator,
+    with its arguments when it is called."""
+    tree = ast.parse(source)
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return [
+        (node.lineno, ast.unparse(calls.get(id(node), node)))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node) in MEMO_DECORATORS
+    ]
+
+
+def test_the_guard_finds_every_memo_use():
+    source = (
+        "@functools.lru_cache\ndef a(): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef b(): pass\n"
+        "@functools.lru_cache(maxsize=MEMO_SIZE)\ndef c(): pass\n"
+        "d = functools.cache(len)\ne = lru_cache(maxsize=MEMO_SIZE)(len)\n"
+    )
+    assert [use for use in memo_uses(source) if use[1] != BOUNDED_MEMO] == [
+        (1, "functools.lru_cache"),
+        (3, "functools.lru_cache(maxsize=None)"),
+        (7, "functools.cache(len)"),
+        (8, "lru_cache(maxsize=MEMO_SIZE)"),
+    ]
+
+
+def test_every_memo_is_bounded_by_memo_size():
+    package = Path(dimshift.__file__).parent
+    uses = [use for path in sorted(package.glob("*.py")) for use in memo_uses(path.read_text())]
+    assert len(uses) == 8
+    assert {text for _, text in uses} == {BOUNDED_MEMO}
 
 
 ALLOWED_EXCEPTIONS = {("linalg.py", "VerificationFailure"), ("harness.py", "ConfigError")}

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dimshift import cli
 from dimshift.cli import main
 from dimshift.harness import (
     GeneratorConfig,
@@ -278,6 +279,21 @@ def test_cli_bad_flag_values_exit_2_with_one_line(argv, capsys):
     # The line names the rejected flag as it was typed.
     command, flag = argv[:2]
     assert captured.err.startswith(f"{command}: {flag} ")
+
+
+@pytest.mark.parametrize("command", ["demo", "verify-sign", "dump"])
+def test_cli_unwritable_output_exits_2_before_any_trial(command, tmp_path, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a trial ran")
+
+    for name in ("run_demo", "run_sign_suite", "gen_random_module"):
+        monkeypatch.setattr(cli, name, no_run)
+    path = tmp_path / "no" / "such" / "r.json"
+    assert main([command, "--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{command}: --output {path}: No such file or directory\n"
+    assert not path.parent.exists()
 
 
 def test_cli_bad_m_gives_one_message_for_every_command(capsys):

@@ -80,7 +80,8 @@ def checked_values() -> dict:
     algebra = TruncatedAlgebra(2)
     k = simple_module(algebra)
     E = harness.gen_random_ses(GeneratorConfig(max_dim=4), random.Random(5))
-    hs = ResolutionRegistry().horseshoe(E, 2)
+    registry = ResolutionRegistry()
+    hs = resolutions.horseshoe(E, registry.resolution(E.sub, 2), registry.resolution(E.quot, 2))
     F = FunctorSpec(E.sub.algebra, simple_module(E.sub.algebra))
     C = complexes.VectorComplex([1, 1], [RationalMatrix.zeros(1, 1)])
     H = complexes.cohomology(C, 0)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimshift import resolutions
+from dimshift import modules, resolutions
 from dimshift.linalg import Rat, RationalMatrix, VerificationFailure
 from dimshift.modules import (
     FunctorSpec,
@@ -271,52 +271,33 @@ def test_functor_keeps_horseshoe_sequences_exact():
         apply_F_ses(F, hs.ses)  # exactness is re-validated on construction
 
 
-# h < H grows the kept horseshoe, h > H serves the longer one, h == H hits.
+# Built at h and then at H over one registry, the second build reads
+# the first one's thetas from the extension memo: h < H solves only the
+# new ones, h >= H none.  It must equal a build with the memo empty.
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(0, 4), st.integers(0, 4))
-def test_a_registry_horseshoe_asked_twice_gives_the_fresh_build(seed, m, h, H):
+def test_a_canonical_horseshoe_rebuilt_from_the_memo_gives_the_fresh_build(seed, m, h, H):
     rng = random.Random(seed)
     cfg = GeneratorConfig(m=m, max_dim=6)
     F = gen_random_functor(cfg, rng)
     E = gen_random_ses(cfg, rng)
     registry = ResolutionRegistry()
-    registry.horseshoe(E, h)
-    hs = registry.horseshoe(E, H)
+    horseshoe(E, registry.resolution(E.sub, h), registry.resolution(E.quot, h))
+    solved = modules._canonical_extension.cache_info().misses
+    hs = horseshoe(E, registry.resolution(E.sub, H), registry.resolution(E.quot, H))
+    assert modules._canonical_extension.cache_info().misses - solved <= max(H - h, 0)
     top = max(h, H)
+    canonical = [derived_connecting(F, E, p, registry) for p in range(top - 1)]
+    modules._canonical_extension.cache_clear()
     fresh = ResolutionRegistry()
-    built = horseshoe(E, fresh.resolution(E.sub, top), fresh.resolution(E.quot, top))
-    assert hs.resolution.horizon == top
-    assert hs.thetas == built.thetas
-    assert hs.resolution.augmentation == built.resolution.augmentation
-    assert hs.resolution.complex.maps == built.resolution.complex.maps
+    built = horseshoe(E, fresh.resolution(E.sub, H), fresh.resolution(E.quot, H))
+    assert hs.resolution.horizon == H
+    assert hs == built
     for p in range(top - 1):
+        modules._canonical_extension.cache_clear()
         RA = fresh.resolution(E.sub, p + 2)
         RB = fresh.resolution(E.quot, p + 2)
-        assert derived_connecting(F, E, p, registry) == chase_connecting(F, E, RA, RB, p)
-    assert registry.horseshoe(E, 0) is hs
-
-
-def test_the_horseshoe_store_keeps_the_most_recently_used(monkeypatch):
-    monkeypatch.setattr(resolutions, "MEMO_SIZE", 2)
-    algebra = TruncatedAlgebra(4)
-
-    def standard(length):
-        iota = embed_into_injective(cyclic_module(algebra, length))
-        return SesModules(iota, cokernel_module(iota).projection)
-
-    one, two, three = standard(1), standard(2), standard(3)
-    registry = ResolutionRegistry()
-    first = registry.horseshoe(one, 2)
-    registry.horseshoe(two, 2)
-    assert registry.horseshoe(one, 1) is first  # used again: kept
-    registry.horseshoe(three, 2)
-    assert list(registry._horseshoes) == [(one.a_to_c, one.c_to_b), (three.a_to_c, three.c_to_b)]
-    registry.horseshoe(two, 2)
-    assert (one.a_to_c, one.c_to_b) not in registry._horseshoes
-    rebuilt = registry.horseshoe(one, 2)
-    assert rebuilt is not first and rebuilt.thetas == first.thetas
-    assert rebuilt.resolution.complex == first.resolution.complex
-    assert len(registry._horseshoes) == 2
+        assert canonical[p] == chase_connecting(F, E, RA, RB, p)
 
 
 # -- comparison lifts --------------------------------------------------------
@@ -379,6 +360,17 @@ def test_cylinder_sides_are_the_shifted_tails(k2, registry):
         tail = cyl.ses.quot.objects
         assert head == R.objects[i : i + len(head)]
         assert tail == R.objects[i + 1 : i + 1 + len(tail)]
+
+
+def test_cylinder_compares_the_splitting_resolution_by_content(k2):
+    registry = ResolutionRegistry()
+    registry.resolution(k2, 6)
+    R, again = registry.resolution(k2, 4), registry.resolution(k2, 4)
+    assert R is not again and R == again
+    cyl = cylinder_resolution(again, split_resolution(R, 3), 1)
+    assert cyl.ses.sub.objects == R.objects[1:4]
+    with pytest.raises(ValueError, match="splitting belongs to a different resolution"):
+        cylinder_resolution(registry.resolution(k2, 5), split_resolution(R, 3), 1)
 
 
 def test_cylinder_is_exact_on_padded_resolutions():

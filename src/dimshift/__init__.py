@@ -16,7 +16,6 @@ from .linalg import (
     Subspace,
     QuotientPresentation,
     VerificationFailure,
-    image_basis,
     induced_map,
     inverse,
     kernel_basis,

@@ -340,14 +340,6 @@ def apply_F_ses(F: FunctorSpec, S: SesOfComplexes) -> SesOfComplexes:
 # ---------------------------------------------------------------------------
 # Connecting homomorphism.
 
-def _random_combination(basis: RationalMatrix, width: int, rng: random.Random) -> RationalMatrix:
-    coeffs = RationalMatrix(
-        [[rng.randint(-3, 3) for _ in range(width)] for _ in range(basis.ncols)],
-        width,
-    )
-    return basis @ coeffs
-
-
 def snake_delta_matrix(
     E: SesOfComplexes, i: int, rng: Optional[random.Random] = None
 ) -> RationalMatrix:
@@ -355,23 +347,18 @@ def snake_delta_matrix(
 
     Chase: lift the chosen representatives of H^i(quot) through the
     epimorphism, apply the middle differential, pull back through the
-    monomorphism.  With rng given and at least one column, the lifts
-    are shifted by random kernel elements; the induced classes do not
-    change (verified in tests, not assumed here).
+    monomorphism.  With rng given, the lifts are drawn at random from
+    their solution space; the induced classes do not change (verified
+    in tests, not assumed here).
     """
     if E.sub_to_mid.is_module_level():
         raise ValueError("the chase runs on vector complexes")
     if not 0 <= i < E.sub.horizon:
         raise ValueError("degree out of range for the connecting map")
     cocycles = cohomology(E.quot, i).representatives()
-    pi = E.mid_to_quot.components[i]
-    lifts = solve_matrix(pi, cocycles)
+    lifts = solve_matrix(E.mid_to_quot.components[i], cocycles, rng)
     if lifts is NoSolution:
         raise VerificationFailure("cannot lift through the epimorphism")
-    if rng is not None and lifts.ncols:
-        null = kernel_basis(pi)
-        if null.ncols:
-            lifts = lifts + _random_combination(null, lifts.ncols, rng)
     moved = E.mid.differentials[i] @ lifts
     pulled = solve_matrix(E.sub_to_mid.components[i + 1], moved)
     if pulled is NoSolution:
@@ -411,16 +398,10 @@ def find_homotopy(f: ChainMap, g: ChainMap, rng: Optional[random.Random] = None)
                 return NotHomotopic
             h.append(extend_along_mono(d, ModuleMap(d.src, dst.objects[p], r), rng).matrix)
             continue
-        dT = src.differentials[p].transpose()
-        sol = solve_matrix(dT, r.transpose())
+        sol = solve_matrix(src.differentials[p].transpose(), r.transpose(), rng)
         if sol is NoSolution:
             return NotHomotopic
-        nxt = sol.transpose()
-        if rng is not None:
-            null = kernel_basis(dT)
-            if null.ncols:
-                nxt = nxt + _random_combination(null, nxt.nrows, rng).transpose()
-        h.append(nxt)
+        h.append(sol.transpose())
     return h
 
 

@@ -230,17 +230,24 @@ def _report(config: dict, trials: list, started: float) -> RunReport:
     return RunReport(config, trials, passed, time.perf_counter() - started)
 
 
+def _failure(exc: Exception) -> dict:
+    """The failed record of a trial that raised: a broken invariant by
+    its message, any other error by its type name and message."""
+    error = str(exc) if isinstance(exc, VerificationFailure) else f"{type(exc).__name__}: {exc}"
+    return {"verdict": "fail", "error": error}
+
+
 def _run_suite(suite: str, cfg: GeneratorConfig, trial) -> RunReport:
     """One record per sub-seed: the seed, then what trial(rng) returns.
-    A trial that breaks an invariant gives a failed record with the
-    error, and the suite goes on to the next seed."""
+    A trial that raises gives a failed record with the error, and the
+    suite goes on to the next seed."""
     started = time.perf_counter()
     trials = []
     for seed in _trial_seeds(cfg):
         try:
             record = trial(random.Random(seed))
-        except VerificationFailure as exc:
-            record = {"verdict": "fail", "error": str(exc)}
+        except Exception as exc:
+            record = _failure(exc)
         trials.append({"seed": seed, **record})
     return _report({"suite": suite, **cfg._asdict()}, trials, started)
 
@@ -343,8 +350,8 @@ def run_demo(m: int, n_max: int) -> RunReport:
     """The worked example: M = k over k[x]/(x^m), F = Hom(k, -).
 
     Prints nothing itself; returns the table of c^n, d^n, and signs.  A
-    degree that breaks an invariant gives a failed record with the
-    error, as in _run_suite, and the table goes on to the next degree.
+    degree that raises gives a failed record with the error, as in
+    _run_suite, and the table goes on to the next degree.
     """
     started = time.perf_counter()
     algebra = TruncatedAlgebra(m)
@@ -356,8 +363,8 @@ def run_demo(m: int, n_max: int) -> RunReport:
         try:
             J = registry.resolution(k, n + 1)
             report = verify_sign_identity(F, k, J, n, registry)
-        except VerificationFailure as exc:
-            trials.append({"n": n, "verdict": "fail", "error": str(exc)})
+        except Exception as exc:
+            trials.append({"n": n, **_failure(exc)})
             continue
         trials.append(
             {

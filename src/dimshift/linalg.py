@@ -31,6 +31,7 @@ comparison and keep every construction deterministic.
 
 from __future__ import annotations
 
+import random
 from collections import namedtuple
 from fractions import Fraction as Rat
 from math import gcd, lcm
@@ -391,11 +392,6 @@ def rcef(M: RationalMatrix) -> tuple:
     return R.take(range(len(pivots)), range(M.nrows)).transpose(), pivots
 
 
-def image_basis(M: RationalMatrix) -> RationalMatrix:
-    """Canonical basis of the column space of M."""
-    return rcef(M)[0]
-
-
 def kernel_basis(M: RationalMatrix) -> RationalMatrix:
     """Canonical basis of the null space of M, as matrix columns."""
     rows = _mutable(M)
@@ -418,15 +414,16 @@ def kernel_basis(M: RationalMatrix) -> RationalMatrix:
     return rref(RationalMatrix._of(vecs, M.ncols))[0].transpose()
 
 
-def solve_matrix(M: RationalMatrix, B: RationalMatrix):
-    """Particular solution X of M @ X = B, or NoSolution.
+def solve_matrix(M: RationalMatrix, B: RationalMatrix, rng: Optional[random.Random] = None):
+    """A solution X of M @ X = B, or NoSolution.
 
-    Free coordinates are set to zero, so the answer is deterministic.
+    Free coordinates are set to zero, so without rng the answer is
+    deterministic.  With rng, X is shifted by kernel_basis(M) @ C, C's
+    nullity x B.ncols integer entries in -3..3 drawn row by row: every
+    random choice in a solution space is drawn here.
     """
     if M.nrows != B.nrows:
         raise ValueError("dimension mismatch")
-    if not M.num:
-        return RationalMatrix.zeros(M.ncols, B.ncols)
     # [M | B] times M.den * B.den: integer rows with the same solutions.
     aug = [
         list(r1) + list(r2)
@@ -439,7 +436,12 @@ def solve_matrix(M: RationalMatrix, B: RationalMatrix):
     out = [(0,) * B.ncols] * M.ncols
     for i, p in enumerate(pivots):
         out[p] = aug[i][M.ncols:]
-    return RationalMatrix._of(out, B.ncols, den)
+    X = RationalMatrix._of(out, B.ncols, den)
+    if rng is None or not B.ncols:
+        return X
+    null = kernel_basis(M)
+    C = [[rng.randint(-3, 3) for _ in range(B.ncols)] for _ in range(null.ncols)]
+    return X + null @ RationalMatrix._of(C, B.ncols)
 
 
 def inverse(M: RationalMatrix) -> RationalMatrix:

@@ -25,7 +25,6 @@ from .linalg import (
     RationalMatrix,
     Subspace,
     VerificationFailure,
-    image_basis,
     inverse,
     kernel_basis,
     quotient,
@@ -439,15 +438,15 @@ class ImageFactorization(namedtuple("ImageFactorization", "module corestriction 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def image_factorization(f: ModuleMap) -> ImageFactorization:
     """Factor f through its image; the image is X-stable so X restricts."""
-    B = image_basis(f.matrix)
-    restricted = solve_matrix(B, f.dst.X @ B)
+    S = Subspace.from_columns(f.matrix)
+    restricted = S.express_columns(f.dst.X @ S.basis)
     if restricted is NoSolution:
         raise VerificationFailure("image is not stable under the operator")
     Z = LambdaModule(f.src.algebra, restricted)
-    coords = solve_matrix(B, f.matrix)
+    coords = S.express_columns(f.matrix)
     if coords is NoSolution:
         raise VerificationFailure("map escapes its own image basis")
-    return ImageFactorization(Z, ModuleMap(f.src, Z, coords), ModuleMap(Z, f.dst, B))
+    return ImageFactorization(Z, ModuleMap(f.src, Z, coords), ModuleMap(Z, f.dst, S.basis))
 
 
 class DirectSum(namedtuple(
@@ -523,22 +522,10 @@ def _extend(f: ModuleMap, g: ModuleMap, rng: Optional[random.Random]) -> ModuleM
     tops = [off + m - 1 for off in cf.offsets]
     phi = cf.P_inv.take(tops, range(E.dim)) @ g.matrix  # blocks x dim(src)
     # Extend each functional along f: psi @ f = phi.
-    fT = f.matrix.transpose()
-    psiT = solve_matrix(fT, phi.transpose())
+    psiT = solve_matrix(f.matrix.transpose(), phi.transpose(), rng)
     if psiT is NoSolution:
         raise VerificationFailure("functional extension system is inconsistent")
     psi = psiT.transpose()
-    if rng is not None:
-        null = kernel_basis(fT)
-        if null.ncols:
-            shift = RationalMatrix(
-                [
-                    [rng.randint(-3, 3) for _ in range(null.ncols)]
-                    for _ in range(blocks)
-                ],
-                null.ncols,
-            )
-            psi = psi + shift @ null.transpose()
     # Rebuild: row m-1-t of block j, in canonical coordinates, is psi_j X^t.
     # Stacked with t descending, that row sits at (m-1-t) * blocks + j.
     stacked = RationalMatrix.vstack([psi @ P for P in reversed(_power_list(C.X, m))])

@@ -6,6 +6,7 @@ import pytest
 # Make the sibling fraction_oracle module importable regardless of rootdir.
 sys.path.insert(0, str(Path(__file__).parent))
 
+from dimshift.linalg import NoSolution
 from dimshift.modules import TruncatedAlgebra, free_module, simple_module
 from dimshift.resolutions import ResolutionRegistry
 
@@ -33,3 +34,21 @@ def lam2(alg2):
 @pytest.fixture
 def registry():
     return ResolutionRegistry()
+
+
+@pytest.fixture
+def fail_on_call(monkeypatch):
+    """install(owner, name, call): owner.name returns NoSolution on its
+    call-th call from then on, and passes every other call through."""
+
+    def install(owner, name, call):
+        real = getattr(owner, name)
+        calls = []
+
+        def patched(*args):
+            calls.append(None)
+            return NoSolution if len(calls) == call else real(*args)
+
+        monkeypatch.setattr(owner, name, patched)
+
+    return install

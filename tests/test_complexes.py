@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dimshift import complexes
 from dimshift.linalg import Rat, RationalMatrix, VerificationFailure, rank, solve_matrix
 from dimshift.modules import FunctorSpec, ModuleMap, apply_F_map, identity_map
 from dimshift.complexes import (
@@ -253,6 +254,17 @@ def test_snake_class_chase_matches_the_matrix():
     lift = solve_matrix(E.mid_to_quot.components[0], rep)
     chased = solve_matrix(E.sub_to_mid.components[1], E.mid.differentials[0] @ lift)
     assert cohomology(E.sub, 1).project_columns(chased) == snake_delta_matrix(E, 0) == M([[1]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (1, "cannot lift through the epimorphism"),
+    (2, "cannot pull back through the monomorphism"),
+])
+def test_snake_checks_both_solves(fail_on_call, call, message):
+    E = one_step_ses()
+    fail_on_call(complexes, "solve_matrix", call)
+    with pytest.raises(VerificationFailure, match=message):
+        snake_delta_matrix(E, 0)
 
 
 def split_complex_ses(C, D):

@@ -137,6 +137,31 @@ def test_derived_functor_matches_the_closed_form():
                 assert value.dim(n) == ext_dim(F.source, Mod, m, n)
 
 
+def test_connecting_ranks_match_the_closed_form():
+    # Exactness of 0 -> F(A) -> F(B) -> F(C) -> R^1 F(A) -> ... gives
+    # rank delta^N = sum over p <= N of (-1)^(N-p) (dim R^p F(C) -
+    # dim R^p F(B) + dim R^p F(A)), every dimension from the oracle.
+    rng = random.Random(78)
+    nonzero = 0
+    for m in (2, 3):
+        cfg = GeneratorConfig(seed=0, m=m, max_dim=6)
+        registry = ResolutionRegistry()
+        for _ in range(6):
+            F = gen_random_functor(cfg, rng)
+            E = gen_random_ses(cfg, rng)
+            expected = 0
+            for N in range(3):
+                c, b, a = (ext_dim(F.source, X, m, N) for X in (E.quot, E.mid, E.sub))
+                expected = c - b + a - expected
+                shape = (ext_dim(F.source, E.sub, m, N + 1), c)
+                for variation in (None, rng):
+                    delta = derived_connecting(F, E, N, registry, variation)
+                    assert (delta.nrows, delta.ncols) == shape
+                    assert rank(delta) == expected
+                nonzero += expected > 0
+    assert nonzero == 13  # of 36 (case, N) pairs
+
+
 # -- the comparison isomorphism ----------------------------------------------
 
 def test_comparison_on_the_registry_resolution_is_the_identity(alg2, k2, registry):

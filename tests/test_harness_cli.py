@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dimshift import cli
+from dimshift import cli, harness
 from dimshift.cli import main
 from dimshift.harness import (
     GeneratorConfig,
@@ -304,3 +304,39 @@ def test_cli_bad_m_gives_one_message_for_every_command(capsys):
         assert err.startswith(f"{command}: ")
         lines.append(err[len(command) + 2:])
     assert lines[0] == lines[1]
+
+
+# -- a trial that crashes -----------------------------------------------------
+
+@pytest.fixture
+def crash_second_sign_check(monkeypatch):
+    real = harness.verify_sign_identity
+    calls = []
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ZeroDivisionError("division by zero")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "verify_sign_identity", flaky)
+
+
+def test_a_crashing_sign_trial_keeps_its_report(crash_second_sign_check, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify-sign", "--trials", "3", "--output", str(out)]) == 1
+    capsys.readouterr()
+    trials = json.loads(out.read_text())["trials"]
+    assert [t["seed"] for t in trials] == list(_trial_seeds(GeneratorConfig(trials=3)))
+    assert [t["verdict"] for t in trials] == ["pass", "fail", "pass"]
+    assert trials[1]["error"].startswith("ZeroDivisionError")
+
+
+def test_a_crashing_demo_degree_keeps_its_report(crash_second_sign_check, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["demo", "--n", "3", "--output", str(out)]) == 1
+    assert "n=2: fail, ZeroDivisionError" in capsys.readouterr().out
+    trials = json.loads(out.read_text())["trials"]
+    assert [t["n"] for t in trials] == [1, 2, 3]
+    assert [t["verdict"] for t in trials] == ["pass", "fail", "pass"]
+    assert trials[1]["error"].startswith("ZeroDivisionError")

@@ -13,7 +13,6 @@ from dimshift.linalg import (
     RationalMatrix,
     Subspace,
     VerificationFailure,
-    image_basis,
     induced_map,
     inverse,
     kernel_basis,
@@ -72,11 +71,11 @@ def test_kernel_of_zero_matrix_is_everything():
 
 
 def test_image_of_identity_is_everything():
-    assert image_basis(RationalMatrix.identity(3)) == RationalMatrix.identity(3)
+    assert Subspace.from_columns(RationalMatrix.identity(3)).basis == RationalMatrix.identity(3)
 
 
 def test_image_of_projection_is_first_axis():
-    B = image_basis(M([[1, 0], [0, 0]]))
+    B = Subspace.from_columns(M([[1, 0], [0, 0]])).basis
     assert B.ncols == 1
     assert B.column(0) == (Rat(1), Rat(0))
 
@@ -143,7 +142,7 @@ def test_rank_nullity(A):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(matrices())
 def test_image_basis_spans_the_columns(A):
-    B = image_basis(A)
+    B = Subspace.from_columns(A).basis
     assert rank(B) == B.ncols == rank(A)
     assert solve_matrix(B, A) is not NoSolution
 
@@ -164,6 +163,36 @@ def test_solve_is_deterministic():
     assert solve_matrix(A, col(1, 2)) == solve_matrix(A, col(1, 2))
     # Free coordinates come back zero.
     assert solve_matrix(A, col(1, 2)) == col(1, 0, 0)
+
+
+@st.composite
+def random_solves(draw):
+    """A, a solvable B = A @ Y, an arbitrary B of the same shape, and a
+    seed; every shape from 0 x 0 up."""
+    r, c, k = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    A = RationalMatrix([[draw(small_entry) for _ in range(c)] for _ in range(r)], c)
+    Y = RationalMatrix([[draw(small_entry) for _ in range(k)] for _ in range(c)], k)
+    other = RationalMatrix([[draw(small_entry) for _ in range(k)] for _ in range(r)], k)
+    return A, A @ Y, other, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(random_solves())
+def test_a_random_solution_draws_one_coefficient_per_kernel_vector_and_column(case):
+    A, B, other, seed = case
+    rng, twin = random.Random(seed), random.Random(seed)
+    X = solve_matrix(A, B, rng)
+    assert X is not NoSolution and A @ X == B
+    assert (A @ (X - solve_matrix(A, B))).is_zero()
+    # The twin replays the draws: nullity x B.ncols, kernel-major.
+    K = kernel_basis(A)
+    C = [[twin.randint(-3, 3) for _ in range(B.ncols)] for _ in range(K.ncols)]
+    assert rng.getstate() == twin.getstate()
+    assert X == solve_matrix(A, B) + K @ RationalMatrix(C, B.ncols)
+    # No draws when there is no solution.
+    if solve_matrix(A, other) is NoSolution:
+        assert solve_matrix(A, other, rng) is NoSolution
+        assert rng.getstate() == twin.getstate()
 
 
 def test_subspace_basis_is_canonical_across_generating_sets():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimshift.linalg import Rat, RationalMatrix, VerificationFailure, kernel_basis, rank
+from dimshift.linalg import Rat, RationalMatrix, Subspace, VerificationFailure, kernel_basis, rank
 from dimshift.modules import (
     FunctorSpec,
     LambdaModule,
@@ -375,6 +375,26 @@ def test_extension_into_the_zero_module(alg2, k2):
     g = zero_map(k2, zero_module(alg2))
     h = extend_along_mono(mono, g)
     assert h.dst.dim == 0 and h.matrix.ncols == 2
+
+
+def test_extension_along_the_zero_map_is_inconsistent(alg2, k2):
+    # g is nonzero on all of k, and the zero map kills all of k.
+    g = embed_into_injective(k2)
+    with pytest.raises(VerificationFailure, match="functional extension system is inconsistent"):
+        extend_along_mono(zero_map(k2, k2), g)
+
+
+@pytest.mark.parametrize("call, message", [
+    (1, "image is not stable under the operator"),
+    (2, "map escapes its own image basis"),
+])
+def test_image_factorization_checks_both_coordinate_reads(fail_on_call, alg3, call, message):
+    f = x_multiplication(free_module(alg3, 1))
+    image_factorization.cache_clear()
+    fail_on_call(Subspace, "express_columns", call)
+    with pytest.raises(VerificationFailure, match=message):
+        image_factorization(f)
+    image_factorization.cache_clear()
 
 
 def test_module_map_constructor_rejects_non_intertwiners(alg2, k2, lam2):

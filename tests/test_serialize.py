@@ -3,6 +3,9 @@
 import json
 import random
 
+import pytest
+
+from dimshift.cli import main
 from dimshift.linalg import Rat, RationalMatrix
 from dimshift.serialize import (
     complex_to_json,
@@ -89,3 +92,29 @@ def test_report_markdown_handles_mixed_trial_shapes():
     rows = [line for line in md.splitlines() if line.startswith("|")]
     # every row has the full column count, holes left blank
     assert all(row.count("|") == rows[0].count("|") for row in rows)
+
+
+# -- report and dump files read back ------------------------------------------
+
+SMALL = ["--m", "3", "--seed", "5", "--trials", "2", "--max-dim", "5", "--horizon", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-sign", *SMALL],
+    ["verify-lemmas", *SMALL],
+    ["demo", "--m", "3", "--n", "3"],
+    *(["dump", "--what", what, *SMALL] for what in ("module", "map", "resolution", "fcomplex")),
+], ids=lambda argv: "-".join(argv[:3:2]) if argv[0] == "dump" else argv[0])
+def test_written_json_round_trips_byte_for_byte(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--output", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    data = json.loads(text)
+    assert dumps(data) == text
+    rebuild = {"module": (module_from_json, module_to_json), "map": (module_map_from_json, module_map_to_json)}
+    if argv[0] == "dump" and argv[2] in rebuild:
+        from_json, to_json = rebuild[argv[2]]
+        value = from_json(data)
+        assert from_json(json.loads(dumps(to_json(value)))) == value
+        assert dumps(to_json(value)) == text

@@ -47,8 +47,6 @@ from .modules import (
     is_injective,
     kernel_module,
     simple_module,
-    zero_map,
-    zero_module,
 )
 from .complexes import (
     ChainMap,

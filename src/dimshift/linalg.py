@@ -392,26 +392,32 @@ def rcef(M: RationalMatrix) -> tuple:
     return R.take(range(len(pivots)), range(M.nrows)).transpose(), pivots
 
 
-def kernel_basis(M: RationalMatrix) -> RationalMatrix:
-    """Canonical basis of the null space of M, as matrix columns."""
-    rows = _mutable(M)
-    pivots = _rref(rows, M.ncols)
-    den = _over_pivots(rows, pivots)
+def _null_vectors(rows: list, pivots: list, ncols: int, den: int) -> RationalMatrix:
+    """Canonical basis of the null space, as matrix columns, read off
+    the first ncols columns of rows that _rref reduced and _over_pivots
+    scaled to den."""
     pivot_set = set(pivots)
     vecs = []
-    for j in range(M.ncols):
+    for j in range(ncols):
         if j not in pivot_set:
-            # den times the vector with 1 at j that M kills.
-            v = [0] * M.ncols
+            # den times the vector with 1 at j that the matrix kills.
+            v = [0] * ncols
             v[j] = den
             for i, p in enumerate(pivots):
                 v[p] = -rows[i][j]
             vecs.append(v)
     if not vecs:
-        return RationalMatrix.zeros(M.ncols, 0)
+        return RationalMatrix.zeros(ncols, 0)
     # The vectors are independent, so the reduced row echelon form of
     # them as rows is the canonical basis, transposed.
-    return rref(RationalMatrix._of(vecs, M.ncols))[0].transpose()
+    return rref(RationalMatrix._of(vecs, ncols))[0].transpose()
+
+
+def kernel_basis(M: RationalMatrix) -> RationalMatrix:
+    """Canonical basis of the null space of M, as matrix columns."""
+    rows = _mutable(M)
+    pivots = _rref(rows, M.ncols)
+    return _null_vectors(rows, pivots, M.ncols, _over_pivots(rows, pivots))
 
 
 def solve_matrix(M: RationalMatrix, B: RationalMatrix, rng: Optional[random.Random] = None):
@@ -439,7 +445,8 @@ def solve_matrix(M: RationalMatrix, B: RationalMatrix, rng: Optional[random.Rand
     X = RationalMatrix._of(out, B.ncols, den)
     if rng is None or not B.ncols:
         return X
-    null = kernel_basis(M)
+    # Every pivot is in M's columns, so there the rows are M reduced.
+    null = _null_vectors(aug, pivots, M.ncols, den)
     C = [[rng.randint(-3, 3) for _ in range(B.ncols)] for _ in range(null.ncols)]
     return X + null @ RationalMatrix._of(C, B.ncols)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import random
+from itertools import accumulate
 from collections import namedtuple
 from typing import Optional, Sequence
 
@@ -68,18 +69,14 @@ class LambdaModule(namedtuple("LambdaModule", "algebra dim X")):
     def __init__(self, algebra: TruncatedAlgebra, X: RationalMatrix):
         if X.nrows != X.ncols:
             raise ValueError("operator matrix must be square")
-        power = RationalMatrix.identity(X.nrows)
-        for _ in range(algebra.m):
+        power = X
+        for _ in range(algebra.m - 1):
             power = power @ X
         if not power.is_zero():
             raise VerificationFailure("operator is not nilpotent of the required order")
 
     def __repr__(self):
         return f"LambdaModule(m={self.algebra.m}, dim={self.dim})"
-
-
-def zero_module(algebra: TruncatedAlgebra) -> LambdaModule:
-    return LambdaModule(algebra, RationalMatrix.zeros(0, 0))
 
 
 def _shift_blocks(sizes: Sequence[int], total: int) -> RationalMatrix:
@@ -141,9 +138,6 @@ class ModuleMap(namedtuple("ModuleMap", "src dst matrix")):
 def identity_map(M: LambdaModule) -> ModuleMap:
     return ModuleMap(M, M, RationalMatrix.identity(M.dim))
 
-def zero_map(src: LambdaModule, dst: LambdaModule) -> ModuleMap:
-    return ModuleMap(src, dst, RationalMatrix.zeros(dst.dim, src.dim))
-
 def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
     """g o f.  Both factors intertwine, so their product does: it is
     built with no second check."""
@@ -195,12 +189,14 @@ class SesModules(namedtuple("SesModules", "a_to_c c_to_b")):
 # ---------------------------------------------------------------------------
 # Nilpotent canonical form.
 
-class CanonicalForm(namedtuple("CanonicalForm", "block_sizes offsets P P_inv")):
+class CanonicalForm(namedtuple("CanonicalForm", "block_sizes offsets P P_inv shifted")):
     """Block decomposition of a nilpotent operator.
 
     P's columns list, block by block, the chain v, Xv, ..., X^(j-1)v of
     each cyclic block, so P_inv @ X @ P is the block shift matrix with
-    weakly decreasing block sizes.
+    weakly decreasing block sizes.  shifted is True exactly when X
+    already is that block shift; then P = P_inv = the identity, and
+    callers skip the products with them.
     """
 
     __slots__ = ()
@@ -210,16 +206,39 @@ class CanonicalForm(namedtuple("CanonicalForm", "block_sizes offsets P P_inv")):
 def canonical_form(M: LambdaModule) -> CanonicalForm:
     """Chain basis for the nilpotent operator of M, cached by fingerprint.
 
+    An operator that already is the block shift with weakly decreasing
+    sizes, as every free module the package builds is, gets P = the
+    identity with no elimination: on it the chain extraction picks the
+    first vector of each block, in block order, so it would return the
+    same.  Every other operator goes through _extract_chains.
+    """
+    d, X = M.dim, M.X
+    # A nonzero subdiagonal entry continues the block above it; the
+    # comparison with _shift_blocks then checks every entry.
+    sizes = []
+    for i in range(d):
+        if i and X.num[i][i - 1]:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    if sizes == sorted(sizes, reverse=True) and X == _shift_blocks(sizes, d):
+        eye = RationalMatrix.identity(d)
+        offsets = tuple(accumulate(sizes, initial=0))[:-1]
+        return CanonicalForm(tuple(sizes), offsets, eye, eye, True)
+    return _extract_chains(M)
+
+
+def _extract_chains(M: LambdaModule) -> CanonicalForm:
+    """Chain basis for the nilpotent operator of a nonzero module M.
+
     Chains are extracted highest height first: at each height the
     kernel of X^h is extended past the lower kernel plus the height-h
     tails of the chains already chosen.  Chains of equal length keep
     extraction order, so the result is deterministic.
     """
     d, X = M.dim, M.X
-    if d == 0:
-        return CanonicalForm((), (), RationalMatrix.zeros(0, 0), RationalMatrix.zeros(0, 0))
-    kernels = [Subspace.zero(d)]
-    power = RationalMatrix.identity(d)
+    power = X
+    kernels = [Subspace.zero(d), Subspace.from_columns(kernel_basis(X))]
     while kernels[-1].dim < d:
         power = X @ power
         kernels.append(Subspace.from_columns(kernel_basis(power)))
@@ -253,18 +272,14 @@ def canonical_form(M: LambdaModule) -> CanonicalForm:
         raise VerificationFailure("chain vectors are not a basis") from exc
     if P_inv @ X @ P != _shift_blocks(sizes, d):
         raise VerificationFailure("conjugation does not reach the block shift form")
-    offsets = []
-    off = 0
-    for j in sizes:
-        offsets.append(off)
-        off += j
-    return CanonicalForm(sizes, tuple(offsets), P, P_inv)
+    offsets = tuple(accumulate(sizes, initial=0))[:-1]
+    return CanonicalForm(sizes, offsets, P, P_inv, False)
 
 
 def is_injective(M: LambdaModule) -> bool:
     """Injective = free here: m * rank(X^(m-1)) = dim."""
-    power = RationalMatrix.identity(M.dim)
-    for _ in range(M.algebra.m - 1):
+    power = M.X
+    for _ in range(M.algebra.m - 2):
         power = power @ M.X
     return M.algebra.m * rank(power) == M.dim
 
@@ -384,7 +399,11 @@ def apply_F_map(F: FunctorSpec, f: ModuleMap) -> RationalMatrix:
     """
     src_basis = apply_F_object(F, f.src)
     dst_basis = apply_F_object(F, f.dst)
-    G = dst_basis.cf_B.P_inv @ (f.matrix @ src_basis.cf_B.P)
+    G = f.matrix
+    if not src_basis.cf_B.shifted:
+        G = G @ src_basis.cf_B.P
+    if not dst_basis.cf_B.shifted:
+        G = dst_basis.cf_B.P_inv @ G
     return RationalMatrix.block_diagonal([
         G.take(dst_basis.rows_of(r), src_basis.rows_of(r))
         for r in range(len(src_basis.cf_A.block_sizes))
@@ -475,13 +494,6 @@ def direct_sum(M: LambdaModule, N: LambdaModule) -> DirectSum:
 # ---------------------------------------------------------------------------
 # Extension into free modules.
 
-def _power_list(X: RationalMatrix, count: int) -> list:
-    powers = [RationalMatrix.identity(X.nrows)]
-    for _ in range(count - 1):
-        powers.append(X @ powers[-1])
-    return powers
-
-
 def extend_along_mono(
     f: ModuleMap, g: ModuleMap, rng: Optional[random.Random] = None
 ) -> ModuleMap:
@@ -520,7 +532,10 @@ def _extend(f: ModuleMap, g: ModuleMap, rng: Optional[random.Random]) -> ModuleM
     blocks = len(cf.block_sizes)
     # Top-coefficient functionals of each free block, applied to g.
     tops = [off + m - 1 for off in cf.offsets]
-    phi = cf.P_inv.take(tops, range(E.dim)) @ g.matrix  # blocks x dim(src)
+    if cf.shifted:
+        phi = g.matrix.take(tops, range(g.matrix.ncols))  # blocks x dim(src)
+    else:
+        phi = cf.P_inv.take(tops, range(E.dim)) @ g.matrix
     # Extend each functional along f: psi @ f = phi.
     psiT = solve_matrix(f.matrix.transpose(), phi.transpose(), rng)
     if psiT is NoSolution:
@@ -528,9 +543,13 @@ def _extend(f: ModuleMap, g: ModuleMap, rng: Optional[random.Random]) -> ModuleM
     psi = psiT.transpose()
     # Rebuild: row m-1-t of block j, in canonical coordinates, is psi_j X^t.
     # Stacked with t descending, that row sits at (m-1-t) * blocks + j.
-    stacked = RationalMatrix.vstack([psi @ P for P in reversed(_power_list(C.X, m))])
+    rows = [psi]
+    for _ in range(m - 1):
+        rows.append(rows[-1] @ C.X)
+    stacked = RationalMatrix.vstack(rows[::-1])
     order = [u * blocks + j for j in range(blocks) for u in range(m)]
-    h = ModuleMap(C, E, cf.P @ stacked.take(order, range(C.dim)))
+    rebuilt = stacked.take(order, range(C.dim))
+    h = ModuleMap(C, E, rebuilt if cf.shifted else cf.P @ rebuilt)
     if h.matrix @ f.matrix != g.matrix:
         raise VerificationFailure("extension does not restrict to the given map")
     return h

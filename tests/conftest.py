@@ -6,8 +6,8 @@ import pytest
 # Make the sibling fraction_oracle module importable regardless of rootdir.
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dimshift.linalg import NoSolution
-from dimshift.modules import TruncatedAlgebra, free_module, simple_module
+from dimshift.linalg import NoSolution, RationalMatrix
+from dimshift.modules import LambdaModule, ModuleMap, TruncatedAlgebra, free_module, simple_module
 from dimshift.resolutions import ResolutionRegistry
 
 
@@ -29,6 +29,18 @@ def k2(alg2):
 @pytest.fixture
 def lam2(alg2):
     return free_module(alg2, 1)
+
+
+@pytest.fixture
+def zero2(alg2):
+    """The zero module over k[x]/(x^2)."""
+    return LambdaModule(alg2, RationalMatrix.zeros(0, 0))
+
+
+@pytest.fixture
+def zero_map():
+    """zero_map(src, dst): the zero map of modules."""
+    return lambda src, dst: ModuleMap(src, dst, RationalMatrix.zeros(dst.dim, src.dim))
 
 
 @pytest.fixture

@@ -28,8 +28,6 @@ from dimshift.modules import (
     free_module,
     hom_basis,
     identity_map,
-    zero_map,
-    zero_module,
 )
 from dimshift.complexes import (
     apply_F_chain_map,
@@ -194,7 +192,7 @@ def test_comparison_on_an_injective_base_is_empty(alg2, k2, lam2, registry):
     assert (c.nrows, c.ncols) == (0, 0)
 
 
-def test_comparison_rejects_non_acyclic_resolutions(alg2, k2):
+def test_comparison_rejects_non_acyclic_resolutions(alg2, k2, zero2, zero_map):
     from dimshift.complexes import ModuleComplex
     from dimshift.resolutions import Resolution
 
@@ -204,13 +202,13 @@ def test_comparison_rejects_non_acyclic_resolutions(alg2, k2):
     J = Resolution(
         k2,
         identity_map(k2),
-        ModuleComplex([k2, zero_module(alg2)], [zero_map(k2, zero_module(alg2))]),
+        ModuleComplex([k2, zero2], [zero_map(k2, zero2)]),
     )
     with pytest.raises(VerificationFailure, match="degree 0 is not acyclic"):
         comparison_iso(F, k2, J, 0, registry)
     # 0 -> k -> k -> 0 resolves 0; k is checked once, and the failure
     # names the lowest degree that holds it.
-    Z = zero_module(alg2)
+    Z = zero2
     J = Resolution(
         Z,
         identity_map(Z),
@@ -435,10 +433,10 @@ def test_barred_connecting_factors_the_raw_chase(alg2, k2, registry):
     assert bar.matrix @ bar.presentation.reduction_map == unbarred
 
 
-def test_degree_zero_connecting_detects_non_acyclic_middles(alg2, k2, registry):
+def test_degree_zero_connecting_detects_non_acyclic_middles(alg2, k2, zero2, zero_map, registry):
     F = FunctorSpec(alg2, k2)
     # 0 -> k -> k -> 0 -> 0: exact, but the middle is not acyclic for F.
-    E = SesModules(identity_map(k2), zero_map(k2, zero_module(alg2)))
+    E = SesModules(identity_map(k2), zero_map(k2, zero2))
     with pytest.raises(VerificationFailure, match="barred connecting map is not surjective"):
         derived_connecting_deg0(F, E, registry)
 

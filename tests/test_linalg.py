@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dimshift import linalg
 from dimshift.linalg import (
     NoSolution,
     Rat,
@@ -193,6 +194,25 @@ def test_a_random_solution_draws_one_coefficient_per_kernel_vector_and_column(ca
     if solve_matrix(A, other) is NoSolution:
         assert solve_matrix(A, other, rng) is NoSolution
         assert rng.getstate() == twin.getstate()
+
+
+def test_a_random_solve_eliminates_the_system_once(monkeypatch):
+    # A is 3 x 4 of rank 2, so its kernel has two vectors.  The kernel is
+    # read off the reduced [A | B]; only those two vectors are reduced
+    # again, to the canonical basis, and A alone never is.
+    A = M([[1, 2, 0, 1], [0, 0, 1, 1], [1, 2, 1, 2]])
+    B = A @ col(1, 1, 1, 1)
+    real = linalg._rref
+    shapes = []
+
+    def counting(rows, ncols):
+        shapes.append((len(rows), ncols))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_rref", counting)
+    X = solve_matrix(A, B, random.Random(5))
+    assert shapes == [(3, 5), (2, 4)]
+    assert A @ X == B
 
 
 def test_subspace_basis_is_canonical_across_generating_sets():

@@ -5,7 +5,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimshift.linalg import Rat, RationalMatrix, Subspace, VerificationFailure, kernel_basis, rank
+from dimshift import linalg, modules
+from dimshift.linalg import (
+    Rat,
+    RationalMatrix,
+    Subspace,
+    VerificationFailure,
+    inverse,
+    kernel_basis,
+    rank,
+    rref,
+)
 from dimshift.modules import (
     FunctorSpec,
     LambdaModule,
@@ -29,8 +39,7 @@ from dimshift.modules import (
     is_injective,
     kernel_module,
     simple_module,
-    zero_map,
-    zero_module,
+    _extract_chains,
     _shift_blocks,
 )
 from dimshift.harness import GeneratorConfig, gen_random_map, gen_random_module
@@ -228,6 +237,106 @@ def test_canonical_form_conjugates_to_the_block_shift():
             assert cf.P_inv @ (Mod.X @ cf.P) == _shift_blocks(cf.block_sizes, Mod.dim)
 
 
+@st.composite
+def block_shifts(draw):
+    """m in 2..5 and weakly decreasing block sizes of total 1..12."""
+    m = draw(st.integers(2, 5))
+    sizes = []
+    for j in sorted(draw(st.lists(st.integers(1, m), min_size=1, max_size=12)), reverse=True):
+        if sum(sizes) + j <= 12:
+            sizes.append(j)
+    return m, tuple(sizes)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(block_shifts())
+def test_a_block_shift_is_read_off_as_the_extraction_finds_it(shape):
+    m, sizes = shape
+    Mod = LambdaModule(TruncatedAlgebra(m), _shift_blocks(sizes, sum(sizes)))
+    cf, extracted = canonical_form(Mod), _extract_chains(Mod)
+    assert cf.shifted and not extracted.shifted
+    assert cf.block_sizes == extracted.block_sizes == sizes
+    assert cf.offsets == extracted.offsets
+    assert cf.P == extracted.P == RationalMatrix.identity(Mod.dim)
+    assert cf.P_inv == extracted.P_inv
+
+
+def conjugated(M):
+    """M's operator seen in another basis, so it is not the block shift."""
+    Q = RationalMatrix.identity(M.dim) + RationalMatrix.identity(M.dim + 1).take(
+        range(1, M.dim + 1), range(M.dim)
+    )  # ones on and just above the diagonal
+    return LambdaModule(M.algebra, inverse(Q) @ M.X @ Q)
+
+
+def test_other_operators_take_the_general_path(monkeypatch, alg2):
+    others = [
+        LambdaModule(alg2, _shift_blocks((1, 2), 3)),  # k + free: sizes increase
+        LambdaModule(alg2, _shift_blocks((2, 1), 3) * Rat(1, 2)),
+        conjugated(free_module(alg2, 2)),
+    ]
+    extracted = []
+
+    def spy(M):
+        extracted.append(M)
+        return _extract_chains(M)
+
+    canonical_form.cache_clear()
+    monkeypatch.setattr(modules, "_extract_chains", spy)
+    for Mod in others:
+        cf = canonical_form(Mod)
+        assert not cf.shifted and cf.P != RationalMatrix.identity(Mod.dim)
+        assert cf.P_inv @ (Mod.X @ cf.P) == _shift_blocks(cf.block_sizes, Mod.dim)
+    assert extracted == others
+
+
+def test_a_free_module_gets_its_canonical_form_with_no_elimination(monkeypatch, alg3):
+    free = [free_module(alg3, 3), direct_sum(free_module(alg3, 1), free_module(alg3, 2)).module]
+
+    def forbidden(*args):
+        raise AssertionError("a free module was eliminated")
+
+    canonical_form.cache_clear()
+    monkeypatch.setattr(linalg, "_rref", forbidden)
+    monkeypatch.setattr(modules, "inverse", forbidden)
+    for Mod in free:
+        cf = canonical_form(Mod)
+        assert cf.shifted and cf.block_sizes == (3, 3, 3)
+        assert cf.P == cf.P_inv == RationalMatrix.identity(9)
+
+
+def drop_the_first_pivot(A):
+    R, pivots = rref(A)
+    return R, pivots[1:]
+
+
+def find_no_pivots(A):
+    return rref(A)[0], ()
+
+
+def singular(P):
+    raise ValueError("matrix is singular")
+
+
+def doubled_inverse(P):
+    return inverse(P) * 2
+
+
+@pytest.mark.parametrize("name, planted, message", [
+    # At height 1 the first pivot is the first carried chain vector.
+    ("rref", drop_the_first_pivot, "carried chain vector is dependent"),
+    ("rref", find_no_pivots, "chain lengths do not add up to the dimension"),
+    ("inverse", singular, "chain vectors are not a basis"),
+    ("inverse", doubled_inverse, "conjugation does not reach the block shift form"),
+])
+def test_each_check_of_the_chain_extraction_fires(monkeypatch, alg2, name, planted, message):
+    Mod = conjugated(free_module(alg2, 1))
+    canonical_form.cache_clear()
+    monkeypatch.setattr(modules, name, planted)
+    with pytest.raises(VerificationFailure, match=message):
+        canonical_form(Mod)
+
+
 @pytest.mark.parametrize("sizes", [(), (1,), (1, 1, 1), (2, 2), (3, 1, 2)])
 def test_shift_blocks_shifts_within_each_block(sizes):
     total = sum(sizes)
@@ -370,14 +479,14 @@ def test_extension_along_a_non_injective_differential(registry):
     assert stray_seen
 
 
-def test_extension_into_the_zero_module(alg2, k2):
+def test_extension_into_the_zero_module(alg2, k2, zero2, zero_map):
     mono = embed_into_injective(k2)
-    g = zero_map(k2, zero_module(alg2))
+    g = zero_map(k2, zero2)
     h = extend_along_mono(mono, g)
     assert h.dst.dim == 0 and h.matrix.ncols == 2
 
 
-def test_extension_along_the_zero_map_is_inconsistent(alg2, k2):
+def test_extension_along_the_zero_map_is_inconsistent(alg2, k2, zero_map):
     # g is nonzero on all of k, and the zero map kills all of k.
     g = embed_into_injective(k2)
     with pytest.raises(VerificationFailure, match="functional extension system is inconsistent"):

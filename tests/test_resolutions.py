@@ -20,7 +20,6 @@ from dimshift.modules import (
     identity_map,
     is_injective,
     simple_module,
-    zero_map,
 )
 from dimshift.complexes import (
     ModuleComplex,
@@ -92,7 +91,7 @@ def test_resolution_exactness_confirmed_by_the_oracle():
                 incoming = matrix_rank(d)
 
 
-def test_resolution_constructor_rejects_inexact_complexes(alg2, k2, lam2):
+def test_resolution_constructor_rejects_inexact_complexes(alg2, k2, lam2, zero_map):
     from dimshift.modules import embed_into_injective
 
     # 0 -> k -> free -> free with a zero differential: the augmentation

@@ -61,7 +61,6 @@ from .complexes import (
     cohomology,
     find_homotopy,
     homotopy_defect,
-    identity_chain_map,
     induced_on_cohomology,
     snake_delta_matrix,
 )

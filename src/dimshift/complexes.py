@@ -42,7 +42,6 @@ from .modules import (
     apply_F_map,
     apply_F_object,
     extend_along_mono,
-    identity_map,
     is_injective,
 )
 
@@ -62,14 +61,21 @@ class VectorComplex(namedtuple("VectorComplex", "dims differentials")):
     def __new__(cls, dims: Sequence[int], differentials: Sequence[RationalMatrix]):
         return super().__new__(cls, tuple(dims), tuple(differentials))
 
-    def __init__(self, dims: Sequence[int], differentials: Sequence[RationalMatrix]):
+    def __init__(self, *fields):
+        self._check(0)
+
+    def _check(self, start: int) -> None:
+        """Check degrees start..horizon and trust the ones below.  Each
+        check belongs to the highest degree it reads: a differential's
+        shape and d o d to the degree they land in."""
         dims, differentials = self.dims, self.differentials
         if len(differentials) != len(dims) - 1:
             raise ValueError("need exactly one differential per adjacent pair")
-        for p, d in enumerate(differentials):
+        for p in range(max(start - 1, 0), len(differentials)):
+            d = differentials[p]
             if (d.nrows, d.ncols) != (dims[p + 1], dims[p]):
                 raise ValueError(f"differential {p} has the wrong shape")
-        for p in range(len(differentials) - 1):
+        for p in range(max(start - 2, 0), len(differentials) - 1):
             if not (differentials[p + 1] @ differentials[p]).is_zero():
                 raise VerificationFailure(f"d o d is nonzero in degree {p}")
 
@@ -114,11 +120,13 @@ class ModuleComplex(namedtuple("ModuleComplex", "dims differentials objects maps
         dims = tuple(M.dim for M in objects)
         return super().__new__(cls, dims, tuple(d.matrix for d in maps), objects, maps)
 
-    def __init__(self, objects: Sequence[LambdaModule], maps: Sequence[ModuleMap]):
-        for p, (d, A, B) in enumerate(zip(self.maps, self.objects, self.objects[1:])):
+    def _check(self, start: int) -> None:
+        lo = max(start - 1, 0)
+        steps = zip(self.maps[lo:], self.objects[lo:], self.objects[lo + 1 :])
+        for p, (d, A, B) in enumerate(steps, lo):
             if d.src != A or d.dst != B:
                 raise ValueError(f"differential {p} has the wrong endpoints")
-        VectorComplex.__init__(self, self.dims, self.differentials)
+        VectorComplex._check(self, start)
 
     __repr__ = VectorComplex.__repr__
 
@@ -143,20 +151,25 @@ class ChainMap(namedtuple("ChainMap", "src dst components maps")):
         return super().__new__(cls, src, dst, components, maps)
 
     def __init__(self, src, dst, components: Sequence):
+        self._check(0)
+
+    def _check(self, start: int) -> None:
+        """Check degrees start..horizon, trusting the ones below: each
+        component's endpoints and shape, and the squares into them."""
+        src, dst, components, maps = self
         if type(src) is not type(dst):
             raise ValueError("chain map endpoints must be the same kind of complex")
         if src.horizon != dst.horizon:
             raise ValueError("chain map endpoints must share a horizon")
-        components = self.components
         if len(components) != src.horizon + 1:
             raise ValueError("need one component per degree")
-        for p, g in enumerate(self.maps or ()):
-            if g.src != src.objects[p] or g.dst != dst.objects[p]:
+        for p in range(start, len(maps or ())):
+            if maps[p].src != src.objects[p] or maps[p].dst != dst.objects[p]:
                 raise ValueError(f"component {p} has the wrong endpoints")
-        for p, comp in enumerate(components):
-            if (comp.nrows, comp.ncols) != (dst.dims[p], src.dims[p]):
+        for p in range(start, len(components)):
+            if (components[p].nrows, components[p].ncols) != (dst.dims[p], src.dims[p]):
                 raise ValueError(f"component {p} has the wrong shape")
-        for p in range(src.horizon):
+        for p in range(max(start - 1, 0), src.horizon):
             if components[p + 1] @ src.differentials[p] != dst.differentials[p] @ components[p]:
                 raise VerificationFailure(f"square at degree {p} does not commute")
 
@@ -171,12 +184,6 @@ class ChainMap(namedtuple("ChainMap", "src dst components maps")):
         return f"ChainMap(horizon={self.horizon})"
 
 
-def identity_chain_map(C: VectorComplex) -> ChainMap:
-    if isinstance(C, ModuleComplex):
-        return ChainMap(C, C, [identity_map(M) for M in C.objects])
-    return ChainMap(C, C, [RationalMatrix.identity(d) for d in C.dims])
-
-
 class SesOfComplexes(namedtuple("SesOfComplexes", "sub_to_mid mid_to_quot")):
     """Degreewise short exact sequence of complexes.
 
@@ -188,9 +195,14 @@ class SesOfComplexes(namedtuple("SesOfComplexes", "sub_to_mid mid_to_quot")):
     __slots__ = ()
 
     def __init__(self, sub_to_mid: ChainMap, mid_to_quot: ChainMap):
+        self._check(0)
+
+    def _check(self, start: int) -> None:
+        """Check exactness in degrees start..horizon, trusting the ones below."""
+        sub_to_mid, mid_to_quot = self
         if sub_to_mid.dst != mid_to_quot.src:
             raise ValueError("middle complexes disagree")
-        for p in range(sub_to_mid.horizon + 1):
+        for p in range(start, self.horizon + 1):
             i = sub_to_mid.components[p]
             q = mid_to_quot.components[p]
             if not (q @ i).is_zero():
@@ -201,6 +213,10 @@ class SesOfComplexes(namedtuple("SesOfComplexes", "sub_to_mid mid_to_quot")):
                 raise VerificationFailure(f"quot map is not surjective in degree {p}")
             if i.ncols + q.nrows != i.nrows:
                 raise VerificationFailure(f"dimensions do not add up in degree {p}")
+
+    @property
+    def horizon(self) -> int:
+        return self.sub_to_mid.horizon
 
     @property
     def sub(self):
@@ -215,7 +231,17 @@ class SesOfComplexes(namedtuple("SesOfComplexes", "sub_to_mid mid_to_quot")):
         return self.mid_to_quot.dst
 
     def __repr__(self):
-        return f"SesOfComplexes(horizon={self.sub.horizon})"
+        return f"SesOfComplexes(horizon={self.horizon})"
+
+
+def grow(record, *fields):
+    """A record of record's kind from fields that continue its own by
+    later degrees.  record passed its checks, so only the checks that
+    belong to the degrees past its horizon run: those of the new
+    degrees, and the seam where they land on the old ones."""
+    grown = type(record).__new__(type(record), *fields)
+    grown._check(record.horizon + 1)
+    return grown
 
 
 # ---------------------------------------------------------------------------

@@ -145,8 +145,7 @@ def chase_connecting(
     rng: Optional[random.Random] = None,
 ) -> RationalMatrix:
     """H^p F(quot_resolution) -> H^(p+1) F(sub_resolution): fill a
-    horseshoe over the given resolutions, apply F and chase.  Every
-    connecting map of a short exact sequence of modules is chased here."""
+    horseshoe over the given resolutions, apply F and chase."""
     hs = horseshoe(E, sub_resolution, quot_resolution, rng)
     return snake_delta_matrix(apply_F_ses(F, hs.ses), p, rng)
 
@@ -164,21 +163,22 @@ def derived_connecting(
     With rng the horseshoe filling and the chase lifts vary; the
     resulting matrix provably does not.  That independence is itself a
     verification target, so it is not silently assumed here: a call
-    with rng always fills a fresh horseshoe and chases it, bypassing
-    the registry's connecting maps and the memo of extensions.  Callers
-    who want the canonical value pass rng=None; it is chased once, with
-    every check, per (F, E's two maps, p) on a horseshoe rebuilt from
-    memoized thetas, and then kept on the registry.
+    with rng always fills a fresh horseshoe from degree zero and chases
+    it, and neither reads nor writes the registry's horseshoes and
+    connecting maps or the memo of extensions.  Callers who want the
+    canonical value pass rng=None; it is chased once, with every check,
+    per (F, E's two maps, p) on the registry's canonical horseshoe of
+    E, and then kept on the registry.
     """
     if p < 0:
         raise ValueError("connecting degree must be nonnegative")
-
-    def chase() -> RationalMatrix:
+    if rng is not None:
         RA = registry.resolution(E.sub, p + 2)
         RB = registry.resolution(E.quot, p + 2)
         return chase_connecting(F, E, RA, RB, p, rng)
-
-    return chase() if rng is not None else registry.connecting((F, E, p), chase)
+    return registry.connecting(
+        (F, E, p), lambda: snake_delta_matrix(apply_F_ses(F, registry.horseshoe(E, p + 2).ses), p)
+    )
 
 
 class DegreeZeroConnecting(namedtuple("DegreeZeroConnecting", "presentation matrix")):

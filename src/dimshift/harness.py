@@ -31,7 +31,7 @@ from .modules import (
     simple_module,
 )
 from .complexes import ModuleComplex
-from .resolutions import Resolution, ResolutionRegistry, _glue, split_resolution
+from .resolutions import Resolution, ResolutionRegistry, _degree_zero, _glue, split_resolution
 from .derived import (
     derived_connecting,
     sign_factor,
@@ -169,7 +169,7 @@ def gen_padded_resolution(
     max_padding contractible two-term complexes id: E -> E at random
     degrees.  Still exact, still degreewise injective, but structurally
     different from the registry resolution whenever padding lands.  The
-    sum is a twisted sum with zero thetas, so _glue re-checks it."""
+    sum is a twisted sum with zero thetas, so _glue checks it."""
     base = registry.resolution(M, horizon)
     count = rng.randint(0, cfg.max_padding)
     pads = []
@@ -199,7 +199,8 @@ def gen_padded_resolution(
     thetas = [
         RationalMatrix.zeros(base.objects[p + 1].dim, objects[p].dim) for p in range(horizon)
     ]
-    return _glue(M, aug, base.complex, pad_complex, thetas).resolution
+    twisted = _degree_zero(M, aug, base.complex, pad_complex)
+    return _glue(twisted, base.complex, pad_complex, thetas).resolution
 
 
 # ---------------------------------------------------------------------------

@@ -277,11 +277,8 @@ def _extract_chains(M: LambdaModule) -> CanonicalForm:
 
 
 def is_injective(M: LambdaModule) -> bool:
-    """Injective = free here: m * rank(X^(m-1)) = dim."""
-    power = M.X
-    for _ in range(M.algebra.m - 2):
-        power = power @ M.X
-    return M.algebra.m * rank(power) == M.dim
+    """Injective = free here: every block of the canonical form has size m."""
+    return all(j == M.algebra.m for j in canonical_form(M).block_sizes)
 
 
 def embed_into_injective(M: LambdaModule) -> ModuleMap:
@@ -297,7 +294,7 @@ def embed_into_injective(M: LambdaModule) -> ModuleMap:
     # Column offsets[r] + t of the embedding is basis vector r*m + (m-j) + t.
     targets = [r * m + m - j + t for r, j in enumerate(cf.block_sizes) for t in range(j)]
     emb = RationalMatrix.identity(E.dim).take(range(E.dim), targets)
-    mono = ModuleMap(M, E, emb @ cf.P_inv)
+    mono = ModuleMap(M, E, emb if cf.shifted else emb @ cf.P_inv)
     if not mono.is_mono():
         raise VerificationFailure("embedding into the free module is not injective")
     return mono

@@ -1,10 +1,12 @@
 """Injective resolutions and the constructions that compare them.
 
-Everything here is exact through the stated horizon and is re-verified
+Everything here is exact through the stated horizon and is verified
 on construction: a Resolution will not build unless the augmented
 complex is exact in every degree below its horizon.  The horseshoe
 filler and the two-term cylinder complex are therefore machine-checked
-each time they are produced, not trusted.
+each time they are produced, not trusted.  A resolution or horseshoe
+continued to a longer horizon is checked in its new degrees; the old
+ones passed when they were made.
 
 Over k[x]/(x^m) the injectives are exactly the free modules, so
 resolutions are built by repeatedly embedding a cokernel into a free
@@ -28,6 +30,7 @@ from .complexes import (
     SesOfComplexes,
     apply_F_complex,
     cohomology,
+    grow,
 )
 from .modules import (
     FunctorSpec,
@@ -54,19 +57,28 @@ class Resolution(namedtuple("Resolution", "base augmentation complex")):
     __slots__ = ()
 
     def __init__(self, base: LambdaModule, augmentation: ModuleMap, complex: ModuleComplex):
-        if augmentation.src != base or augmentation.dst != complex.objects[0]:
-            raise ValueError("augmentation must run from the base into degree zero")
-        if rank(augmentation.matrix) != base.dim:
-            raise VerificationFailure("augmentation is not injective")
-        ranks = [rank(d) for d in complex.differentials]
-        if complex.horizon >= 1:
+        self._check(0)
+
+    def _check(self, start: int) -> None:
+        """Check degrees start..horizon of the augmented complex and trust
+        the ones below; exactness in degree p belongs to degree p + 1,
+        where d(p) lands."""
+        base, augmentation, complex = self
+        if start == 0:
+            if augmentation.src != base or augmentation.dst != complex.objects[0]:
+                raise ValueError("augmentation must run from the base into degree zero")
+            if rank(augmentation.matrix) != base.dim:
+                raise VerificationFailure("augmentation is not injective")
+        if start <= 1 and complex.horizon >= 1:
             if not (complex.differentials[0] @ augmentation.matrix).is_zero():
                 raise VerificationFailure("differential does not kill the base")
-        incoming = base.dim
-        for p in range(complex.horizon):
-            if complex.objects[p].dim - ranks[p] != incoming:
+        lo = max(start - 1, 0)
+        incoming = rank(complex.differentials[lo - 1]) if lo else base.dim
+        for p in range(lo, complex.horizon):
+            outgoing = rank(complex.differentials[p])
+            if complex.objects[p].dim - outgoing != incoming:
                 raise VerificationFailure(f"resolution is not exact in degree {p}")
-            incoming = ranks[p]
+            incoming = outgoing
 
     @property
     def horizon(self) -> int:
@@ -96,27 +108,25 @@ def injective_resolution(M: LambdaModule, horizon: int) -> Resolution:
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     augmentation = embed_into_injective(M)
-    return _resolve(M, augmentation, (augmentation.dst,), (), horizon)
+    return _resolve(Resolution(M, augmentation, ModuleComplex([augmentation.dst], [])), horizon)
 
 
-def _resolve(
-    base: LambdaModule, augmentation: ModuleMap, objects: tuple, maps: tuple, horizon: int
-) -> Resolution:
-    """Continue the resolution with these first objects and differentials
-    up to the horizon, embedding the cokernel of the last map each time.
+def _resolve(R: Resolution, horizon: int) -> Resolution:
+    """R continued up to the horizon, embedding the cokernel of the last
+    map each time; only the new degrees are checked.
 
     A differential is the next embedding composed with a projection, so
     it has the embedding's image, and cokernels read only the canonical
     basis of the image: a continued build equals a fresh one.
     """
-    objects, maps = list(objects), list(maps)
-    last = maps[-1] if maps else augmentation
+    objects, maps = list(R.objects), list(R.complex.maps)
+    last = maps[-1] if maps else R.augmentation
     while len(maps) < horizon:
         coker = cokernel_module(last)
         last = embed_into_injective(coker.module)
         maps.append(compose(last, coker.projection))
         objects.append(last.dst)
-    return Resolution(base, augmentation, ModuleComplex(objects, maps))
+    return grow(R, R.base, R.augmentation, grow(R.complex, objects, maps))
 
 
 def _keep(store: dict, key, value) -> None:
@@ -129,21 +139,24 @@ def _keep(store: dict, key, value) -> None:
 
 
 class ResolutionRegistry:
-    """Shared cache of the deterministic resolution of each module and
-    of the canonical connecting maps that derived.derived_connecting
-    chases over those resolutions.
+    """Shared cache of results that depend only on content: the
+    deterministic resolution of each module, the canonical (rng-free)
+    horseshoe of each short exact sequence over those resolutions, and
+    the canonical connecting maps that derived.derived_connecting
+    chases on those horseshoes.
 
-    A resolution never depends on the requested horizon, so a longer
-    request continues the cached build from its last differential
-    instead of starting over, and a shorter one is served by the longer
-    build; every presentation stays aligned across calls.  An extended
-    resolution is checked again in every degree.  Each store keeps its
-    MEMO_SIZE most recently used entries; since every entry is
-    deterministic, one rebuilt after eviction equals the one evicted.
+    The constructions never depend on the requested horizon, so a
+    longer request continues the kept build from its last differential
+    or theta instead of starting over, and checks only the new degrees;
+    a shorter one is served by the longer build, and every presentation
+    stays aligned across calls.  Each store keeps its MEMO_SIZE most
+    recently used entries; since every entry is deterministic, one
+    rebuilt after eviction equals the one evicted.
     """
 
     def __init__(self):
         self._store: dict = {}
+        self._horseshoes: dict = {}
         self._connecting: dict = {}
 
     def resolution(self, M: LambdaModule, horizon: int) -> Resolution:
@@ -151,9 +164,20 @@ class ResolutionRegistry:
         if cached is None:
             cached = injective_resolution(M, horizon)
         elif cached.horizon < horizon:
-            cached = _resolve(M, cached.augmentation, cached.objects, cached.complex.maps, horizon)
+            cached = _resolve(cached, horizon)
         _keep(self._store, M, cached)
         return cached.truncate(horizon)
+
+    def horseshoe(self, E: SesModules, horizon: int) -> "TwistedSum":
+        """The canonical horseshoe of E over the registry resolutions,
+        through at least the horizon: the kept one, grown if shorter."""
+        kept = self._horseshoes.pop(E, None)
+        if kept is None or kept.resolution.horizon < horizon:
+            RA = self.resolution(E.sub, horizon)
+            RB = self.resolution(E.quot, horizon)
+            kept = horseshoe(E, RA, RB, prefix=kept)
+        _keep(self._horseshoes, E, kept)
+        return kept
 
     def connecting(self, key, chase) -> RationalMatrix:
         """The canonical connecting map kept under key; on a miss, chase()
@@ -220,33 +244,46 @@ class TwistedSum(namedtuple("TwistedSum", "resolution ses")):
     __slots__ = ()
 
 
-def _glue(
-    base: LambdaModule,
-    aug: RationalMatrix,
-    sub: ModuleComplex,
-    quot: ModuleComplex,
-    thetas: list,
+def _degree_zero(
+    base: LambdaModule, aug: RationalMatrix, sub: ModuleComplex, quot: ModuleComplex
 ) -> TwistedSum:
-    """The twisted direct sum of sub and quot, augmented from base by aug:
-    degree p is sub^p (+) quot^p with differential [[d_sub, theta^p],
-    [0, d_quot]].  The Resolution constructor re-checks d o d = 0 and
-    augmented exactness, the chain maps re-check the split squares and
-    the sequence of complexes re-checks degreewise exactness."""
-    sums = [direct_sum(A, B) for A, B in zip(sub.objects, quot.objects)]
-    objects = [s.module for s in sums]
-    differentials = []
-    for p, (dA, theta, dB) in enumerate(zip(sub.differentials, thetas, quot.differentials)):
-        zero = RationalMatrix.zeros(dB.nrows, dA.ncols)
-        block = RationalMatrix.block([[dA, theta], [zero, dB]])
-        differentials.append(ModuleMap(objects[p], objects[p + 1], block))
-    resolution = Resolution(
-        base, ModuleMap(base, objects[0], aug), ModuleComplex(objects, differentials)
-    )
+    """Degree zero of the twisted sum of sub and quot, augmented from
+    base by aug; _glue continues it."""
+    s = direct_sum(sub.objects[0], quot.objects[0])
+    resolution = Resolution(base, ModuleMap(base, s.module, aug), ModuleComplex([s.module], []))
     ses = SesOfComplexes(
-        ChainMap(sub, resolution.complex, [s.include_left for s in sums]),
-        ChainMap(resolution.complex, quot, [s.project_right for s in sums]),
+        ChainMap(sub.truncate(0), resolution.complex, [s.include_left]),
+        ChainMap(resolution.complex, quot.truncate(0), [s.project_right]),
     )
     return TwistedSum(resolution, ses)
+
+
+def _glue(
+    twisted: TwistedSum, sub: ModuleComplex, quot: ModuleComplex, thetas: list
+) -> TwistedSum:
+    """twisted continued over sub and quot, which continue its outer
+    complexes, by the next thetas: degree p is sub^p (+) quot^p with
+    differential [[d_sub, theta^p], [0, d_quot]].  The new degrees are
+    checked, and only they: d o d = 0 and augmented exactness by the
+    Resolution, the split squares by the chain maps, and degreewise
+    exactness by the sequence of complexes."""
+    R, S = twisted
+    h = R.horizon
+    sums = [direct_sum(A, B) for A, B in zip(sub.objects[h + 1 :], quot.objects[h + 1 :])]
+    objects = R.objects + tuple(s.module for s in sums)
+    maps = list(R.complex.maps)
+    for p, theta in enumerate(thetas, h):
+        dA, dB = sub.differentials[p], quot.differentials[p]
+        zero = RationalMatrix.zeros(dB.nrows, dA.ncols)
+        block = RationalMatrix.block([[dA, theta], [zero, dB]])
+        maps.append(ModuleMap(objects[p], objects[p + 1], block))
+    mid = grow(R.complex, objects, maps)
+    include = S.sub_to_mid.maps + tuple(s.include_left for s in sums)
+    project = S.mid_to_quot.maps + tuple(s.project_right for s in sums)
+    return TwistedSum(
+        grow(R, R.base, R.augmentation, mid),
+        grow(S, grow(S.sub_to_mid, sub, mid, include), grow(S.mid_to_quot, mid, quot, project)),
+    )
 
 
 def horseshoe(
@@ -254,6 +291,7 @@ def horseshoe(
     sub_resolution: Resolution,
     quot_resolution: Resolution,
     rng: Optional[random.Random] = None,
+    prefix: Optional[TwistedSum] = None,
 ) -> TwistedSum:
     """Fill the middle column over resolutions of the outer terms.
 
@@ -265,26 +303,39 @@ def horseshoe(
     the kernel it must, by exactness of the outer resolutions.  rng
     varies every extension; the connecting maps do not depend on it.
 
-    Without rng each extension is memoized on its two maps, so a
-    canonical horseshoe rebuilt to a longer horizon solves only its new
-    thetas; every degree is glued and checked again.
+    prefix, a horseshoe of E over truncations of the same resolutions,
+    is continued: the ladder starts from its last theta, read off its
+    top differential, so only the new thetas are solved and only the
+    new degrees are checked.  A prefix of horizon 0 holds no theta, and
+    the fill starts afresh.
     """
     if sub_resolution.base != E.sub or quot_resolution.base != E.quot:
         raise ValueError("resolutions do not match the sequence ends")
     h = min(sub_resolution.horizon, quot_resolution.horizon)
     RA = sub_resolution.truncate(h)
     RB = quot_resolution.truncate(h)
-    prev = extend_along_mono(E.a_to_c, RA.augmentation, rng).matrix
-    along = compose(RB.augmentation, E.c_to_b)
-    aug = RationalMatrix.vstack([prev, along.matrix])
+    k = prefix.resolution.horizon if prefix is not None else 0
+    if k:
+        if k > h or (prefix.resolution.base, prefix.ses.sub, prefix.ses.quot) != (
+            E.mid, RA.complex.truncate(k), RB.complex.truncate(k)
+        ):
+            raise ValueError("prefix is not a horseshoe over these resolutions")
+        top = prefix.resolution.differential(k - 1).matrix
+        prev = top.take(range(RA.objects[k].dim), range(RA.objects[k - 1].dim, top.ncols))
+        along = RB.differential(k - 1)
+    else:
+        prev = extend_along_mono(E.a_to_c, RA.augmentation, rng).matrix
+        along = compose(RB.augmentation, E.c_to_b)
+        aug = RationalMatrix.vstack([prev, along.matrix])
+        prefix = _degree_zero(E.mid, aug, RA.complex, RB.complex)
     thetas = []
-    for p in range(h):
+    for p in range(k, h):
         # -d_A^p o theta^(p-1): both factors intertwine, so no second check.
         rhs = ModuleMap._make((along.src, RA.objects[p + 1], -(RA.differential(p).matrix @ prev)))
         prev = extend_along_mono(along, rhs, rng).matrix
         thetas.append(prev)
         along = RB.differential(p)
-    return _glue(E.mid, aug, RA.complex, RB.complex, thetas)
+    return _glue(prefix, RA.complex, RB.complex, thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +376,7 @@ def cylinder_resolution(J: Resolution, splitting: ResolutionSplitting, i: int) -
     [[d, (-1)^(p+1) id], [0, d]], augmented by (id, d^i) from J^i,
     between the two shifted tails of J.
 
-    The sign alternates so that the squares close; _glue re-checks
+    The sign alternates so that the squares close; _glue checks
     d o d = 0, augmented exactness and the surrounding sequence.
     """
     if splitting.resolution != J:
@@ -344,7 +395,7 @@ def cylinder_resolution(J: Resolution, splitting: ResolutionSplitting, i: int) -
     aug = RationalMatrix.vstack(
         [RationalMatrix.identity(J.objects[i].dim), J.differential(i).matrix]
     )
-    return _glue(J.objects[i], aug, head, tail, thetas)
+    return _glue(_degree_zero(J.objects[i], aug, head, tail), head, tail, thetas)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,24 @@ import pytest
 # Make the sibling fraction_oracle module importable regardless of rootdir.
 sys.path.insert(0, str(Path(__file__).parent))
 
+from dimshift.complexes import ChainMap, ModuleComplex
 from dimshift.linalg import NoSolution, RationalMatrix
-from dimshift.modules import LambdaModule, ModuleMap, TruncatedAlgebra, free_module, simple_module
+from dimshift.modules import (
+    LambdaModule,
+    ModuleMap,
+    TruncatedAlgebra,
+    free_module,
+    identity_map,
+    simple_module,
+)
 from dimshift.resolutions import ResolutionRegistry
+
+
+def identity_chain_map(C):
+    """The identity chain map of a vector or module complex."""
+    if isinstance(C, ModuleComplex):
+        return ChainMap(C, C, [identity_map(M) for M in C.objects])
+    return ChainMap(C, C, [RationalMatrix.identity(d) for d in C.dims])
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from dimshift.complexes import (
     cohomology,
     find_homotopy,
     homotopy_defect,
-    identity_chain_map,
     induced_on_cohomology,
     snake_delta_matrix,
 )
@@ -31,6 +30,8 @@ from dimshift.harness import (
     gen_random_ses,
 )
 from dimshift.resolutions import ResolutionRegistry
+
+from conftest import identity_chain_map
 
 
 def M(rows, ncols=None):

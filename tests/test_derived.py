@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dimshift import derived, modules
+from dimshift import derived, modules, resolutions
 from dimshift.linalg import (
     Rat,
     RationalMatrix,
@@ -256,32 +256,35 @@ def test_connecting_is_independent_of_horseshoe_and_chase_choices(registry):
 
 
 def count_horseshoes(monkeypatch) -> list:
-    """One entry per horseshoe a connecting chase fills from now on,
-    canonical or fresh: both are filled in derived.chase_connecting."""
+    """One entry per horseshoe a connecting chase fills from now on: the
+    horizon of the prefix it continues, 0 for a fill from degree zero.
+    Fresh fillings are made in derived.chase_connecting, canonical ones
+    in the registry."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return horseshoe(*args, **kwargs)
+    def counted(*args, prefix=None, **kwargs):
+        calls.append(prefix.resolution.horizon if prefix is not None else 0)
+        return horseshoe(*args, prefix=prefix, **kwargs)
 
     monkeypatch.setattr(derived, "horseshoe", counted)
+    monkeypatch.setattr(resolutions, "horseshoe", counted)
     return calls
 
 
 def count_chases(monkeypatch) -> list:
     chases = []
-    chase = derived.chase_connecting
+    chase = derived.snake_delta_matrix
 
     def counted(*args):
         chases.append(None)
         return chase(*args)
 
-    monkeypatch.setattr(derived, "chase_connecting", counted)
+    monkeypatch.setattr(derived, "snake_delta_matrix", counted)
     return chases
 
 
-def test_the_registry_keeps_resolutions_and_connecting_maps_only():
-    assert set(vars(ResolutionRegistry())) == {"_store", "_connecting"}
+def test_the_registry_keeps_resolutions_horseshoes_and_connecting_maps():
+    assert set(vars(ResolutionRegistry())) == {"_store", "_horseshoes", "_connecting"}
 
 
 def test_only_canonical_connecting_maps_are_kept(monkeypatch, alg2, k2, registry):
@@ -289,14 +292,20 @@ def test_only_canonical_connecting_maps_are_kept(monkeypatch, alg2, k2, registry
     F = FunctorSpec(alg2, k2)
     E = standard_ses(k2)
     chased = derived_connecting(F, E, 1, registry, random.Random(0))
-    assert registry._connecting == {}
-    assert len(calls) == 1
+    assert registry._connecting == {} and registry._horseshoes == {}
+    assert calls == [0]
     canonical = derived_connecting(F, E, 1, registry)
     assert derived_connecting(F, E, 1, registry) == canonical == chased
-    assert len(registry._connecting) == 1 and len(calls) == 2
+    assert len(registry._connecting) == 1 and calls == [0, 0]
+    assert registry._horseshoes[E].resolution.horizon == 3
     assert derived_connecting(F, E, 1, registry, random.Random(1)) == canonical
     derived_connecting(F, E, 2, registry, random.Random(2))
-    assert len(calls) == 4 and len(registry._connecting) == 1
+    assert calls == [0, 0, 0, 0] and len(registry._connecting) == 1
+    # The canonical map one degree up grows the kept horseshoe by one.
+    derived_connecting(F, E, 2, registry)
+    assert calls == [0, 0, 0, 0, 3] and len(registry._connecting) == 2
+    assert list(registry._horseshoes) == [E]
+    assert registry._horseshoes[E].resolution.horizon == 4
 
 
 def test_fresh_fillings_leave_the_extension_memo_and_the_registry_alone(registry):
@@ -312,37 +321,43 @@ def test_fresh_fillings_leave_the_extension_memo_and_the_registry_alone(registry
         derived_connecting(F, E, 1, registry, rng)
         comparison_iso(F, E.quot, registry.resolution(E.quot, 3), 1, registry, rng)
         assert modules._canonical_extension.cache_info() == before
-        assert registry._connecting == {}
+        assert registry._connecting == {} and registry._horseshoes == {}
 
 
 def test_the_lemma_suite_still_chases_every_random_filling(monkeypatch):
     # Per trial: the square's chase, its canonical side, and the two
-    # fillings of the independence check.  The flags are the lemmas
+    # fillings of the independence check.  Every sequence is new, so
+    # each is filled from degree zero.  The flags are the lemmas
     # workload's.
     calls = count_horseshoes(monkeypatch)
     run_connecting_suite(GeneratorConfig(seed=41, m=2, max_dim=8, horizon=4, trials=4))
-    assert len(calls) == 16
+    assert calls == [0] * 16
 
 
 def test_the_deep_demo_chases_each_canonical_connecting_map_once(monkeypatch):
     # The shift to degree n takes n connecting maps, 45 through n = 9;
-    # the cycles of the resolution of k alternate, so 17 of them differ.
-    # Each is chased once, on a horseshoe filled for it.
+    # the cycles of the resolution of k alternate, so 17 of them differ,
+    # over two sequences.  Each is chased once: the first two on
+    # horseshoes filled to horizon 2, the other 15 on the kept horseshoe
+    # of their sequence, grown by one degree.
     horseshoes = count_horseshoes(monkeypatch)
     chases = count_chases(monkeypatch)
     run_demo(3, 9)
-    assert len(chases) == len(horseshoes) == 17
+    assert len(chases) == 17
+    assert horseshoes == [0, 0] + [h for h in range(2, 9) for _ in range(2)] + [9]
 
 
 def test_the_deep_demo_solves_six_extension_problems(monkeypatch):
     # The resolution of k has period two, so every horseshoe theta and
     # every comparison lift component is one of six rng-free extension
-    # problems; the other 172 of the 178 calls are memo hits.
+    # problems.  A grown horseshoe solves only its new theta, so the 19
+    # thetas and 2 augmentations make 21 of the 84 calls; the other 63
+    # are the comparison lifts', and 78 calls are memo hits.
     modules._canonical_extension.cache_clear()
     chases = count_chases(monkeypatch)
     run_demo(3, 9)
     info = modules._canonical_extension.cache_info()
-    assert (info.misses, info.hits) == (6, 172)
+    assert (info.misses, info.hits) == (6, 78)
     assert len(chases) == 17
 
 

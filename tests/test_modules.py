@@ -486,6 +486,24 @@ def test_extension_into_the_zero_module(alg2, k2, zero2, zero_map):
     assert h.dst.dim == 0 and h.matrix.ncols == 2
 
 
+@pytest.mark.parametrize("variation", [None, random.Random(0)], ids=["canonical", "rng"])
+def test_extension_into_a_module_that_is_not_free_is_refused(alg2, k2, lam2, zero_map, variation):
+    # Free = every block of the target's canonical form has size m, read
+    # off a block shift or extracted from any other operator.
+    not_free = [
+        k2,
+        direct_sum(lam2, k2).module,
+        LambdaModule(alg2, _shift_blocks((1, 2), 3)),
+        conjugated(direct_sum(lam2, k2).module),
+    ]
+    for target in not_free:
+        with pytest.raises(VerificationFailure, match="extension target is not injective"):
+            extend_along_mono(identity_map(k2), zero_map(k2, target), variation)
+    free = conjugated(free_module(alg2, 2))
+    g = gen_random_map(k2, free, random.Random(1))
+    assert extend_along_mono(embed_into_injective(k2), g, variation).dst == free
+
+
 def test_extension_along_the_zero_map_is_inconsistent(alg2, k2, zero_map):
     # g is nonzero on all of k, and the zero map kills all of k.
     g = embed_into_injective(k2)

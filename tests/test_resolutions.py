@@ -1,14 +1,17 @@
 """Resolutions: the deterministic build, splitting, horseshoe, cylinder."""
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimshift import modules, resolutions
+from dimshift import complexes, modules, resolutions
 from dimshift.linalg import Rat, RationalMatrix, VerificationFailure
 from dimshift.modules import (
     FunctorSpec,
+    ModuleMap,
     SesModules,
     TruncatedAlgebra,
     cokernel_module,
@@ -27,7 +30,6 @@ from dimshift.complexes import (
     apply_F_ses,
     find_homotopy,
     homotopy_defect,
-    identity_chain_map,
 )
 from dimshift.resolutions import (
     Resolution,
@@ -48,6 +50,7 @@ from dimshift.harness import (
     gen_random_ses,
 )
 
+from conftest import identity_chain_map
 from fraction_oracle import is_exact_at, matrix_rank
 
 
@@ -162,6 +165,118 @@ def test_registry_stores_keep_the_most_recently_used(monkeypatch):
     deltas = [derived_connecting(F, E, p, registry) for p in range(3)]
     assert len(registry._connecting) == 2 and len(registry._store) == 2
     assert derived_connecting(F, E, 0, registry) == deltas[0]
+
+
+def count_checks(monkeypatch) -> Counter:
+    """From now on, (record, degree) -> the products and ranks that the
+    records' _check methods compute: the record's class name, and the
+    degree its loop is at, None outside the loops."""
+    counts = Counter()
+
+    def record():
+        frame = sys._getframe(2)
+        if frame.f_code.co_name == "_check":
+            checked = type(frame.f_locals["self"]).__name__
+            counts[checked, frame.f_locals.get("p")] += 1
+
+    matmul = RationalMatrix.__matmul__
+
+    def counted_matmul(self, other):
+        record()
+        return matmul(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "__matmul__", counted_matmul)
+    for module in (complexes, resolutions):
+        def counted_rank(M, rank=module.rank):
+            record()
+            return rank(M)
+
+        monkeypatch.setattr(module, "rank", counted_rank)
+    return counts
+
+
+def resolution_checks(H: int) -> Counter:
+    """What a fresh resolution to H computes in its checks: d o d landing
+    in each degree 2..H, the rank of the augmentation, the base killed,
+    and the rank of each differential for exactness."""
+    return Counter(
+        {("ModuleComplex", p): 1 for p in range(H - 1)}
+        | {("Resolution", p): 1 for p in range(H)}
+        | {("Resolution", None): 2}
+    )
+
+
+# The rank of the old top differential, which exactness at the seam reads.
+SEAM = ("Resolution", None)
+
+
+# Grown 2 -> 4 -> 7, a record runs each check of a fresh build to 7 once
+# per degree, and each of the two growths adds one seam rank.
+def test_a_grown_registry_resolution_checks_each_degree_once(monkeypatch):
+    M = cyclic_module(TruncatedAlgebra(3), 2)
+    checks = count_checks(monkeypatch)
+    registry = ResolutionRegistry()
+    for h in (2, 4, 7):
+        registry.resolution(M, h)
+    grown = Counter(checks)
+    checks.clear()
+    injective_resolution(M, 7)
+    assert checks == resolution_checks(7)
+    assert grown == checks + Counter({SEAM: 2})
+
+
+def test_a_grown_canonical_horseshoe_checks_each_degree_once(monkeypatch, alg2, k2):
+    iota = embed_into_injective(k2)
+    E = SesModules(iota, cokernel_module(iota).projection)
+    registry = ResolutionRegistry()
+    RA, RB = registry.resolution(E.sub, 7), registry.resolution(E.quot, 7)
+    checks = count_checks(monkeypatch)
+    for h in (2, 4, 7):
+        registry.horseshoe(E, h)
+    grown = Counter(checks)
+    checks.clear()
+    horseshoe(E, RA, RB)
+    # Besides the middle resolution's checks: two squares, of two
+    # products each, landing in each degree 1..7 (the two chain maps),
+    # and a composite and two ranks in each degree 0..7 (the sequence).
+    assert checks == resolution_checks(7) + Counter(
+        {("ChainMap", p): 4 for p in range(7)}
+        | {("SesOfComplexes", p): 3 for p in range(8)}
+    )
+    assert grown == checks + Counter({SEAM: 2})
+
+
+def zero_differential_at(monkeypatch, degree):
+    """The registry builds d(degree) as the zero map."""
+    real = resolutions.compose
+    built = []
+
+    def planted(g, f):
+        built.append(None)
+        d = real(g, f)
+        if len(built) == degree + 1:
+            return ModuleMap(d.src, d.dst, RationalMatrix.zeros(d.dst.dim, d.src.dim))
+        return d
+
+    monkeypatch.setattr(resolutions, "compose", planted)
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+def test_a_defect_in_a_new_degree_of_a_resolution_is_caught_as_on_a_fresh_build(
+    monkeypatch, degree
+):
+    # Degree 3 is the first new one: its exactness reads the seam.
+    M = cyclic_module(TruncatedAlgebra(3), 2)
+    message = f"resolution is not exact in degree {degree}"
+    with monkeypatch.context() as patch:
+        zero_differential_at(patch, degree)
+        with pytest.raises(VerificationFailure, match=message):
+            injective_resolution(M, 6)
+    registry = ResolutionRegistry()
+    registry.resolution(M, 3)
+    zero_differential_at(monkeypatch, degree - 3)
+    with pytest.raises(VerificationFailure, match=message):
+        registry.resolution(M, 6)
 
 
 # -- splitting into cycle sequences ------------------------------------------
@@ -297,6 +412,87 @@ def test_a_canonical_horseshoe_rebuilt_from_the_memo_gives_the_fresh_build(seed,
         RA = fresh.resolution(E.sub, p + 2)
         RB = fresh.resolution(E.quot, p + 2)
         assert canonical[p] == chase_connecting(F, E, RA, RB, p)
+
+
+def negate_theta_at(monkeypatch, degree):
+    """_glue negates theta^degree when it is one of the thetas it adds."""
+    glue = resolutions._glue
+
+    def planted(twisted, sub, quot, thetas):
+        thetas = list(thetas)
+        q = degree - twisted.resolution.horizon
+        if 0 <= q < len(thetas):
+            thetas[q] = -thetas[q]
+        return glue(twisted, sub, quot, thetas)
+
+    monkeypatch.setattr(resolutions, "_glue", planted)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_a_defect_in_a_new_degree_of_a_horseshoe_is_caught_as_on_a_fresh_build(
+    monkeypatch, alg2, k2, degree
+):
+    # theta^3 is the first new theta: d o d in degree 2 reads the seam.
+    iota = embed_into_injective(k2)
+    E = SesModules(iota, cokernel_module(iota).projection)
+    registry = ResolutionRegistry()
+    RA, RB = registry.resolution(E.sub, 5), registry.resolution(E.quot, 5)
+    registry.horseshoe(E, 3)
+    negate_theta_at(monkeypatch, degree)
+    message = f"d o d is nonzero in degree {degree - 1}"
+    with pytest.raises(VerificationFailure, match=message):
+        horseshoe(E, RA, RB)
+    with pytest.raises(VerificationFailure, match=message):
+        registry.horseshoe(E, 5)
+
+
+def test_a_prefix_must_be_a_horseshoe_over_the_same_resolutions(alg2, k2):
+    iota = embed_into_injective(k2)
+    E = SesModules(iota, cokernel_module(iota).projection)
+    registry = ResolutionRegistry()
+    kept = registry.horseshoe(E, 2)
+    split = SesModules(direct_sum(k2, k2).include_left, direct_sum(k2, k2).project_right)
+    for F, RA, RB in (
+        (split, registry.resolution(k2, 4), registry.resolution(k2, 4)),
+        (E, registry.resolution(k2, 4), registry.resolution(E.quot, 1)),
+    ):
+        with pytest.raises(ValueError, match="prefix is not a horseshoe over these resolutions"):
+            horseshoe(F, RA, RB, prefix=kept)
+
+
+def through(hs, h):
+    """The parts of a twisted sum in degrees 0..h."""
+    R, (include, project) = hs
+    return (
+        R.truncate(h),
+        include.src.truncate(h),
+        project.dst.truncate(h),
+        include.maps[: h + 1],
+        project.maps[: h + 1],
+    )
+
+
+# Kept at h0 and asked for H, the registry grows its horseshoe when
+# H > h0 and otherwise serves the kept one: through any h it reaches,
+# that equals a fresh horseshoe filled to h.
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 3),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+def test_a_grown_registry_horseshoe_truncates_to_the_fresh_one(seed, m, h0, H, h):
+    E = gen_random_ses(GeneratorConfig(m=m, max_dim=6), random.Random(seed))
+    registry = ResolutionRegistry()
+    registry.horseshoe(E, h0)
+    grown = registry.horseshoe(E, H)
+    assert grown.resolution.horizon == max(h0, H)
+    h = min(h, grown.resolution.horizon)
+    fresh = ResolutionRegistry()
+    built = horseshoe(E, fresh.resolution(E.sub, h), fresh.resolution(E.quot, h))
+    assert through(grown, h) == through(built, h)
 
 
 # -- comparison lifts --------------------------------------------------------

@@ -31,7 +31,7 @@ from .modules import (
     simple_module,
 )
 from .complexes import ModuleComplex
-from .resolutions import Resolution, ResolutionRegistry, _degree_zero, _glue, split_resolution
+from .resolutions import Resolution, ResolutionRegistry, _glue, split_resolution
 from .derived import (
     derived_connecting,
     sign_factor,
@@ -199,8 +199,7 @@ def gen_padded_resolution(
     thetas = [
         RationalMatrix.zeros(base.objects[p + 1].dim, objects[p].dim) for p in range(horizon)
     ]
-    twisted = _degree_zero(M, aug, base.complex, pad_complex)
-    return _glue(twisted, base.complex, pad_complex, thetas).resolution
+    return _glue(M, aug, base.complex, pad_complex, thetas).resolution
 
 
 # ---------------------------------------------------------------------------

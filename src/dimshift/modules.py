@@ -277,8 +277,11 @@ def _extract_chains(M: LambdaModule) -> CanonicalForm:
 
 
 def is_injective(M: LambdaModule) -> bool:
-    """Injective = free here: every block of the canonical form has size m."""
-    return all(j == M.algebra.m for j in canonical_form(M).block_sizes)
+    """Injective = free here: m * rank(X^(m-1)) = dim."""
+    power = M.X
+    for _ in range(M.algebra.m - 2):
+        power = power @ M.X
+    return M.algebra.m * rank(power) == M.dim
 
 
 def embed_into_injective(M: LambdaModule) -> ModuleMap:
@@ -520,12 +523,13 @@ def _extend(f: ModuleMap, g: ModuleMap, rng: Optional[random.Random]) -> ModuleM
     C = f.dst
     if f.src != g.src:
         raise ValueError("extension problem endpoints disagree")
-    if not is_injective(E):
+    m = E.algebra.m
+    cf = canonical_form(E)
+    # Injective = free: every block of the canonical form has size m.
+    if any(j != m for j in cf.block_sizes):
         raise VerificationFailure("extension target is not injective")
     if E.dim == 0:
         return ModuleMap(C, E, RationalMatrix.zeros(0, C.dim))
-    m = E.algebra.m
-    cf = canonical_form(E)
     blocks = len(cf.block_sizes)
     # Top-coefficient functionals of each free block, applied to g.
     tops = [off + m - 1 for off in cf.offsets]

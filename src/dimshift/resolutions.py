@@ -244,30 +244,29 @@ class TwistedSum(namedtuple("TwistedSum", "resolution ses")):
     __slots__ = ()
 
 
-def _degree_zero(
-    base: LambdaModule, aug: RationalMatrix, sub: ModuleComplex, quot: ModuleComplex
-) -> TwistedSum:
-    """Degree zero of the twisted sum of sub and quot, augmented from
-    base by aug; _glue continues it."""
-    s = direct_sum(sub.objects[0], quot.objects[0])
-    resolution = Resolution(base, ModuleMap(base, s.module, aug), ModuleComplex([s.module], []))
-    ses = SesOfComplexes(
-        ChainMap(sub.truncate(0), resolution.complex, [s.include_left]),
-        ChainMap(resolution.complex, quot.truncate(0), [s.project_right]),
-    )
-    return TwistedSum(resolution, ses)
-
-
 def _glue(
-    twisted: TwistedSum, sub: ModuleComplex, quot: ModuleComplex, thetas: list
+    base: LambdaModule,
+    aug: RationalMatrix,
+    sub: ModuleComplex,
+    quot: ModuleComplex,
+    thetas: list,
+    prefix: Optional[TwistedSum] = None,
 ) -> TwistedSum:
-    """twisted continued over sub and quot, which continue its outer
-    complexes, by the next thetas: degree p is sub^p (+) quot^p with
-    differential [[d_sub, theta^p], [0, d_quot]].  The new degrees are
-    checked, and only they: d o d = 0 and augmented exactness by the
-    Resolution, the split squares by the chain maps, and degreewise
-    exactness by the sequence of complexes."""
-    R, S = twisted
+    """The twisted direct sum of sub and quot, augmented from base by aug:
+    degree p is sub^p (+) quot^p with differential [[d_sub, theta^p],
+    [0, d_quot]].  prefix, this sum through a lower horizon, is
+    continued by the thetas past it; without one, degree zero is built
+    first.  The new degrees are checked, and only they: d o d = 0 and
+    augmented exactness by the Resolution, the split squares by the
+    chain maps, and degreewise exactness by the sequence of complexes."""
+    if prefix is None:
+        s0 = direct_sum(sub.objects[0], quot.objects[0])
+        R = Resolution(base, ModuleMap(base, s0.module, aug), ModuleComplex([s0.module], []))
+        prefix = TwistedSum(R, SesOfComplexes(
+            ChainMap(sub.truncate(0), R.complex, [s0.include_left]),
+            ChainMap(R.complex, quot.truncate(0), [s0.project_right]),
+        ))
+    R, S = prefix
     h = R.horizon
     sums = [direct_sum(A, B) for A, B in zip(sub.objects[h + 1 :], quot.objects[h + 1 :])]
     objects = R.objects + tuple(s.module for s in sums)
@@ -320,14 +319,15 @@ def horseshoe(
             E.mid, RA.complex.truncate(k), RB.complex.truncate(k)
         ):
             raise ValueError("prefix is not a horseshoe over these resolutions")
+        aug = prefix.resolution.augmentation.matrix
         top = prefix.resolution.differential(k - 1).matrix
         prev = top.take(range(RA.objects[k].dim), range(RA.objects[k - 1].dim, top.ncols))
         along = RB.differential(k - 1)
     else:
+        prefix = None
         prev = extend_along_mono(E.a_to_c, RA.augmentation, rng).matrix
         along = compose(RB.augmentation, E.c_to_b)
         aug = RationalMatrix.vstack([prev, along.matrix])
-        prefix = _degree_zero(E.mid, aug, RA.complex, RB.complex)
     thetas = []
     for p in range(k, h):
         # -d_A^p o theta^(p-1): both factors intertwine, so no second check.
@@ -335,7 +335,7 @@ def horseshoe(
         prev = extend_along_mono(along, rhs, rng).matrix
         thetas.append(prev)
         along = RB.differential(p)
-    return _glue(prefix, RA.complex, RB.complex, thetas)
+    return _glue(E.mid, aug, RA.complex, RB.complex, thetas, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +395,7 @@ def cylinder_resolution(J: Resolution, splitting: ResolutionSplitting, i: int) -
     aug = RationalMatrix.vstack(
         [RationalMatrix.identity(J.objects[i].dim), J.differential(i).matrix]
     )
-    return _glue(_degree_zero(J.objects[i], aug, head, tail), head, tail, thetas)
+    return _glue(J.objects[i], aug, head, tail, thetas)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ def negate_thetas(monkeypatch, site=None):
     glue twisted sums."""
     glue = resolutions._glue
 
-    def negated(twisted, sub, quot, thetas):
+    def negated(base, aug, sub, quot, thetas, prefix=None):
         if site in (None, sys._getframe(1).f_code.co_name):
             thetas = [-theta for theta in thetas]
-        return glue(twisted, sub, quot, thetas)
+        return glue(base, aug, sub, quot, thetas, prefix)
 
     monkeypatch.setattr(resolutions, "_glue", negated)
 

@@ -418,12 +418,12 @@ def negate_theta_at(monkeypatch, degree):
     """_glue negates theta^degree when it is one of the thetas it adds."""
     glue = resolutions._glue
 
-    def planted(twisted, sub, quot, thetas):
+    def planted(base, aug, sub, quot, thetas, prefix=None):
         thetas = list(thetas)
-        q = degree - twisted.resolution.horizon
+        q = degree - (prefix.resolution.horizon if prefix is not None else 0)
         if 0 <= q < len(thetas):
             thetas[q] = -thetas[q]
-        return glue(twisted, sub, quot, thetas)
+        return glue(base, aug, sub, quot, thetas, prefix)
 
     monkeypatch.setattr(resolutions, "_glue", planted)
 

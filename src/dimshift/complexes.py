@@ -83,16 +83,6 @@ class VectorComplex(namedtuple("VectorComplex", "dims differentials")):
     def horizon(self) -> int:
         return len(self.dims) - 1
 
-    def differential(self, p: int) -> RationalMatrix:
-        """d(p), with the out-of-range convention d = 0."""
-        if 0 <= p < len(self.differentials):
-            return self.differentials[p]
-        if p == self.horizon:
-            return RationalMatrix.zeros(0, self.dims[p])
-        if p == -1:
-            return RationalMatrix.zeros(self.dims[0], 0)
-        raise ValueError("degree out of range")
-
     def slice(self, lo: int, hi: int):
         """Degrees lo..hi as a complex of the same kind: a per-degree
         field keeps lo..hi, a per-edge field lo..hi-1.  This complex

@@ -352,25 +352,22 @@ def verify_shift_step_sign(
     J: Resolution,
     n: int,
     p: int,
-    registry: ResolutionRegistry,
-    splitting=None,
     rng: Optional[random.Random] = None,
 ) -> StepSignReport:
     """Chase one shift step through the cylinder between shifted tails.
 
-    The source and target cohomology presentations are literally the
-    presentation of H^n(F J) (checked), so the chased matrix can be
-    compared against a signed identity with no further identification.
-    Requires J.horizon >= n + 2 so the target presentation is honest.
+    It reads only J.  The source and target cohomology presentations
+    are literally the presentation of H^n(F J) (checked), so the chased
+    matrix is compared against a signed identity with no further
+    identification.  Requires J.horizon >= n + 2 so the target
+    presentation is honest.
     """
     if not 0 <= p <= n - 1:
         raise ValueError("step index out of range")
     if J.horizon < n + 2:
         raise ValueError("resolution horizon too short for honest step checks")
-    if splitting is None:
-        splitting = split_resolution(J, n)
     i = n - p - 1
-    cyl = cylinder_resolution(J, splitting, i)
+    cyl = cylinder_resolution(J, i)
     FS = apply_F_ses(F, cyl.ses)
     FJ = apply_F_complex(F, J.complex)
     Hn = cohomology(FJ, n)

@@ -31,7 +31,7 @@ from .modules import (
     simple_module,
 )
 from .complexes import ModuleComplex
-from .resolutions import Resolution, ResolutionRegistry, _glue, split_resolution
+from .resolutions import Resolution, ResolutionRegistry, _glue
 from .derived import (
     derived_connecting,
     sign_factor,
@@ -321,11 +321,10 @@ def run_step_sign_suite(
         M = gen_random_module(cfg, rng)
         n = rng.randint(1, cfg.horizon)
         J = gen_padded_resolution(M, n + 2, cfg, rng, registry)
-        splitting = split_resolution(J, n)
         steps = []
         product = 1
         for p in range(n):
-            step = verify_shift_step_sign(F, J, n, p, registry, splitting, rng)
+            step = verify_shift_step_sign(F, J, n, p, rng)
             product *= step.expected_sign
             steps.append(
                 {

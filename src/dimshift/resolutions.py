@@ -193,16 +193,15 @@ class ResolutionRegistry:
 # Splitting a resolution into short exact sequences of cycles.
 
 class ResolutionSplitting(namedtuple(
-    "ResolutionSplitting",
-    "resolution depth cycles inclusions corestrictions sequences",
+    "ResolutionSplitting", "inclusions corestrictions sequences"
 )):
-    """Cycle data of a resolution down to some depth.
+    """Cycle data of a resolution J down to depth len(sequences).
 
-    cycles[q] is the q-th cycle module (cycles[0] is the base itself),
-    inclusions[q] embeds it into degree q, corestrictions[q] is the
-    differential with its target cut down to cycles[q+1], and
-    sequences[q-1] is the short exact sequence
-    0 -> cycles[q-1] -> J^(q-1) -> cycles[q] -> 0.
+    inclusions[q] embeds the q-th cycle module Z^q, its source, into J^q
+    (inclusions[0] is the augmentation, so Z^0 is the base);
+    corestrictions[q] is the differential d^q with its target cut down
+    to Z^(q+1), and sequences[q] is the short exact sequence
+    0 -> Z^q -> J^q -> Z^(q+1) -> 0.
     """
 
     __slots__ = ()
@@ -211,7 +210,6 @@ class ResolutionSplitting(namedtuple(
 def split_resolution(J: Resolution, depth: int) -> ResolutionSplitting:
     if not 0 <= depth <= J.horizon:
         raise ValueError("splitting depth out of range")
-    cycles = [J.base]
     inclusions = [J.augmentation]
     corestrictions = []
     sequences = []
@@ -222,16 +220,8 @@ def split_resolution(J: Resolution, depth: int) -> ResolutionSplitting:
             raise VerificationFailure("cycle factorization does not recompose")
         corestrictions.append(fact.corestriction)
         sequences.append(SesModules(inclusions[q], fact.corestriction))
-        cycles.append(fact.module)
         inclusions.append(fact.inclusion)
-    return ResolutionSplitting(
-        J,
-        depth,
-        tuple(cycles),
-        tuple(inclusions),
-        tuple(corestrictions),
-        tuple(sequences),
-    )
+    return ResolutionSplitting(tuple(inclusions), tuple(corestrictions), tuple(sequences))
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +361,17 @@ def lift_resolution_map(
 # ---------------------------------------------------------------------------
 # The two-term cylinder resolution of a cycle object.
 
-def cylinder_resolution(J: Resolution, splitting: ResolutionSplitting, i: int) -> TwistedSum:
+def cylinder_resolution(J: Resolution, i: int) -> TwistedSum:
     """L^p = J^(i+p) (+) J^(i+p+1) with differential blocks
     [[d, (-1)^(p+1) id], [0, d]], augmented by (id, d^i) from J^i,
-    between the two shifted tails of J.
+    between the two shifted tails of J, for 0 <= i < J.horizon.
 
     The sign alternates so that the squares close; _glue checks
     d o d = 0, augmented exactness and the surrounding sequence.
     """
-    if splitting.resolution != J:
-        raise ValueError("splitting belongs to a different resolution")
-    if not 0 <= i + 1 <= splitting.depth:
-        raise ValueError("cylinder needs cycle data one step past its start")
     h = J.horizon - i - 1
-    if h < 0:
-        raise ValueError("resolution too short for a cylinder at this index")
+    if i < 0 or h < 0:
+        raise ValueError("cylinder index out of range")
     head = J.complex.slice(i, i + h)
     tail = J.complex.slice(i + 1, i + h + 1)
     thetas = [

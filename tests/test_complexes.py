@@ -185,7 +185,7 @@ def test_representatives_are_cocycles_and_project_to_the_identity():
         for n in range(3):
             H = cohomology(FC, n)
             reps = H.representatives()
-            assert (FC.differential(n) @ reps).is_zero()
+            assert (FC.differentials[n] @ reps).is_zero()
             assert H.project_columns(reps) == RationalMatrix.identity(H.dim)
 
 

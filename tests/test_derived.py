@@ -1,6 +1,7 @@
 """Derived functors, comparison and shift isomorphisms, sign checks."""
 
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -538,7 +539,7 @@ def test_step_signs_for_the_standard_resolution(alg2, k2, registry):
     J = registry.resolution(k2, n + 2)
     signs = []
     for p in range(n):
-        report = verify_shift_step_sign(F, J, n, p, registry)
+        report = verify_shift_step_sign(F, J, n, p)
         assert report.verdict
         signs.append(report.expected_sign)
     assert signs == [-1, 1, -1]
@@ -558,6 +559,55 @@ def test_step_signs_on_padded_resolutions():
         n = rng.randint(1, 3)
         J = gen_padded_resolution(Mod, n + 2, cfg, rng, registry)
         for p in range(n):
-            report = verify_shift_step_sign(F, J, n, p, registry, rng=rng)
+            report = verify_shift_step_sign(F, J, n, p, rng=rng)
             assert report.verdict
             assert report.expected_sign == (-1) ** (p + 1)
+
+
+def test_step_arguments_are_checked(alg2, k2, registry):
+    F = FunctorSpec(alg2, k2)
+    J = registry.resolution(k2, 4)
+    for p in (-1, 2):
+        with pytest.raises(ValueError, match="step index out of range"):
+            verify_shift_step_sign(F, J, 2, p)
+    with pytest.raises(ValueError, match="resolution horizon too short for honest step checks"):
+        verify_shift_step_sign(F, J.truncate(3), 2, 0)
+
+
+# The two sides the step reads off the F-image of its cylinder.
+Sides = namedtuple("Sides", "sub quot")
+
+
+def padded_step():
+    """F, a padded resolution J of horizon 4, and the registry
+    resolution R of the same module, which J's padding changes."""
+    cfg = GeneratorConfig(seed=0, m=2, max_dim=6, max_padding=2)
+    registry = ResolutionRegistry()
+    rng = random.Random(80)
+    F = gen_random_functor(cfg, rng)
+    Mod = gen_random_module(cfg, rng)
+    J = gen_padded_resolution(Mod, 4, cfg, rng, registry)
+    R = registry.resolution(Mod, 4)
+    assert [o.dim for o in J.objects] != [o.dim for o in R.objects]
+    return F, J, R
+
+
+def test_a_cylinder_over_another_resolution_drifts_the_target(monkeypatch):
+    F, J, R = padded_step()
+    for p in (0, 1):
+        assert verify_shift_step_sign(F, J, 2, p).verdict
+    cylinder = resolutions.cylinder_resolution
+    monkeypatch.setattr(derived, "cylinder_resolution", lambda _, i: cylinder(R, i))
+    for p in (0, 1):
+        with pytest.raises(VerificationFailure, match="cylinder target presentation drifted"):
+            verify_shift_step_sign(F, J, 2, p)
+
+
+def test_a_cylinder_read_on_its_sub_side_twice_drifts_the_source(monkeypatch):
+    # The quotient side then presents degree n - 1 of F J, not degree n.
+    F, J, _ = padded_step()
+    monkeypatch.setattr(derived, "apply_F_ses", lambda F, S: Sides(*[apply_F_ses(F, S).sub] * 2))
+    with pytest.raises(VerificationFailure, match="cylinder source cocycles drifted"):
+        verify_shift_step_sign(F, J, 2, 0)
+    with pytest.raises(VerificationFailure, match="cylinder source presentation drifted"):
+        verify_shift_step_sign(F, J, 2, 1)

@@ -17,7 +17,7 @@ from dimshift.harness import (
     run_step_sign_suite,
 )
 from dimshift.modules import FunctorSpec, TruncatedAlgebra, simple_module
-from dimshift.resolutions import ResolutionRegistry, split_resolution
+from dimshift.resolutions import ResolutionRegistry
 
 
 def recording(monkeypatch, name):
@@ -55,11 +55,7 @@ def test_shift_steps_mostly_are_nonzero_dimensional(monkeypatch):
     k = simple_module(algebra)
     registry = ResolutionRegistry()
     J = registry.resolution(k, 6)
-    splitting = split_resolution(J, 4)
-    ladder = [
-        verify_shift_step_sign(FunctorSpec(algebra, k), J, 4, p, registry, splitting)
-        for p in range(4)
-    ]
+    ladder = [verify_shift_step_sign(FunctorSpec(algebra, k), J, 4, p) for p in range(4)]
     suites = recording(monkeypatch, "verify_shift_step_sign")
     run_step_sign_suite(GeneratorConfig(seed=51, m=2, max_dim=7, horizon=4, trials=15))
     run_step_sign_suite(GeneratorConfig(seed=52, m=3, max_dim=6, horizon=3, trials=10))

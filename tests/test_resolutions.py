@@ -284,18 +284,27 @@ def test_a_defect_in_a_new_degree_of_a_resolution_is_caught_as_on_a_fresh_build(
 def test_splitting_of_the_standard_resolution(alg2, k2, registry):
     R = registry.resolution(k2, 4)
     S = split_resolution(R, 3)
-    assert [Z.dim for Z in S.cycles] == [1, 1, 1, 1]
+    assert S._fields == ("inclusions", "corestrictions", "sequences")
+    assert [u.src.dim for u in S.inclusions] == [1, 1, 1, 1]
     for q in range(3):
         E = S.sequences[q]
-        assert E.sub == S.cycles[q]
-        assert E.quot == S.cycles[q + 1]
+        assert E.sub == S.inclusions[q].src
+        assert E.quot == S.inclusions[q + 1].src
         assert compose(S.inclusions[q + 1], S.corestrictions[q]) == R.differential(q)
 
 
 def test_splitting_of_an_immediately_stopping_resolution(lam2, registry):
     R = registry.resolution(lam2, 2)
     S = split_resolution(R, 2)
-    assert S.cycles[1].dim == 0
+    assert S.inclusions[1].src.dim == 0
+
+
+def test_splitting_depth_must_lie_within_the_horizon(k2, registry):
+    R = registry.resolution(k2, 3)
+    assert len(split_resolution(R, 3).sequences) == 3
+    for depth in (-1, 4):
+        with pytest.raises(ValueError, match="splitting depth out of range"):
+            split_resolution(R, depth)
 
 
 def test_splitting_reconstructs_padded_resolutions():
@@ -319,9 +328,9 @@ def test_cycles_begin_exact_tails_on_padded_input():
     Mod = gen_random_module(cfg, rng)
     J = gen_padded_resolution(Mod, 4, cfg, rng, registry)
     S = split_resolution(J, 3)
-    for i in range(1, S.depth + 1):
+    for i in range(1, len(S.sequences) + 1):
         assert is_exact_at(S.inclusions[i].matrix, J.differential(i).matrix)
-        assert matrix_rank(S.inclusions[i].matrix) == S.cycles[i].dim
+        assert matrix_rank(S.inclusions[i].matrix) == S.inclusions[i].src.dim
 
 
 # -- horseshoe ---------------------------------------------------------------
@@ -529,8 +538,7 @@ def test_two_random_lifts_are_homotopic():
 
 def test_cylinder_structure_over_the_standard_resolution(k2, registry):
     R = registry.resolution(k2, 4)
-    S = split_resolution(R, 3)
-    cyl = cylinder_resolution(R, S, 0)
+    cyl = cylinder_resolution(R, 0)
     L = cyl.resolution
     assert L.base == R.objects[0]
     assert [J.dim for J in L.objects] == [4, 4, 4, 4]
@@ -546,26 +554,27 @@ def test_cylinder_structure_over_the_standard_resolution(k2, registry):
             assert d0.entry(i, 2 + j) == (Rat(-1) if i == j else Rat(0))
 
 
-def test_cylinder_sides_are_the_shifted_tails(k2, registry):
-    R = registry.resolution(k2, 4)
-    S = split_resolution(R, 3)
-    for i in (0, 1, 2):
-        cyl = cylinder_resolution(R, S, i)
-        head = cyl.ses.sub.objects
-        tail = cyl.ses.quot.objects
-        assert head == R.objects[i : i + len(head)]
-        assert tail == R.objects[i + 1 : i + 1 + len(tail)]
-
-
-def test_cylinder_compares_the_splitting_resolution_by_content(k2):
+def test_cylinder_sides_are_the_shifted_tails(k2):
     registry = ResolutionRegistry()
     registry.resolution(k2, 6)
+    # Two truncations of the kept build: equal by content, distinct objects.
     R, again = registry.resolution(k2, 4), registry.resolution(k2, 4)
     assert R is not again and R == again
-    cyl = cylinder_resolution(again, split_resolution(R, 3), 1)
-    assert cyl.ses.sub.objects == R.objects[1:4]
-    with pytest.raises(ValueError, match="splitting belongs to a different resolution"):
-        cylinder_resolution(registry.resolution(k2, 5), split_resolution(R, 3), 1)
+    for J in (R, again):
+        for i in (0, 1, 2, 3):
+            cyl = cylinder_resolution(J, i)
+            head = cyl.ses.sub.objects
+            tail = cyl.ses.quot.objects
+            assert len(head) == len(tail) == R.horizon - i
+            assert head == R.objects[i : i + len(head)]
+            assert tail == R.objects[i + 1 : i + 1 + len(tail)]
+
+
+def test_cylinder_index_must_leave_a_tail(k2, registry):
+    R = registry.resolution(k2, 4)
+    for i in (-1, R.horizon):
+        with pytest.raises(ValueError, match="cylinder index out of range"):
+            cylinder_resolution(R, i)
 
 
 def test_cylinder_is_exact_on_padded_resolutions():
@@ -574,9 +583,8 @@ def test_cylinder_is_exact_on_padded_resolutions():
     registry = ResolutionRegistry()
     Mod = gen_random_module(cfg, rng)
     J = gen_padded_resolution(Mod, 5, cfg, rng, registry)
-    S = split_resolution(J, 4)
     for i in (0, 1, 2):
-        cylinder_resolution(J, S, i)  # Resolution re-validates everything
+        cylinder_resolution(J, i)  # Resolution re-validates everything
 
 
 # -- acyclicity --------------------------------------------------------------

@@ -277,29 +277,29 @@ class CohomologyPresentation(namedtuple(
         return f"CohomologyPresentation(degree={self.degree}, dim={self.dim})"
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def cohomology(C: VectorComplex, n: int) -> CohomologyPresentation:
     """Present H^n(C).  Degrees 0 <= n <= horizon; d(-1) = 0.
 
     At n = horizon the complex is read as genuinely bounded, d(n) = 0;
     for a truncated resolution that degree is an artifact, so callers
-    stay below the horizon there.
+    stay below the horizon there.  Memoized on what it reads: n, C^n's
+    dimension and the differentials into and out of C^n.
     """
     if not 0 <= n <= C.horizon:
         raise ValueError("degree out of range")
-    ambient = C.dims[n]
-    if n < C.horizon:
-        Z = Subspace.from_columns(kernel_basis(C.differentials[n]))
-    else:
-        Z = Subspace.full(ambient)
-    if n == 0:
-        coords = RationalMatrix.zeros(Z.dim, 0)
-    else:
-        coords = Z.express_columns(C.differentials[n - 1])
-        if coords is NoSolution:
-            raise VerificationFailure("boundaries are not cocycles")
-    pres = quotient(Z.dim, Subspace.from_columns(coords))
-    return CohomologyPresentation(n, ambient, Z, pres)
+    d = C.differentials
+    return _cohomology(n, C.dims[n], d[n - 1] if n else None, d[n] if n < C.horizon else None)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _cohomology(n: int, ambient: int, incoming, outgoing) -> CohomologyPresentation:
+    """H^n where the matrices incoming and outgoing meet, in a space of
+    dimension ambient; None stands for a zero differential."""
+    Z = Subspace.full(ambient) if outgoing is None else Subspace.from_columns(kernel_basis(outgoing))
+    coords = RationalMatrix.zeros(Z.dim, 0) if incoming is None else Z.express_columns(incoming)
+    if coords is NoSolution:
+        raise VerificationFailure("boundaries are not cocycles")
+    return CohomologyPresentation(n, ambient, Z, quotient(Z.dim, Subspace.from_columns(coords)))
 
 
 def induced_on_cohomology(f: ChainMap, n: int) -> RationalMatrix:
@@ -341,16 +341,29 @@ def apply_F_chain_map(F: FunctorSpec, f: ChainMap) -> ChainMap:
     )
 
 
-def apply_F_ses(F: FunctorSpec, S: SesOfComplexes) -> SesOfComplexes:
+def apply_F_ses(F: FunctorSpec, S: SesOfComplexes, prefix=None) -> SesOfComplexes:
     """F of a degreewise split short exact sequence of module complexes.
 
     Additive functors preserve split exactness degree by degree, and
     the constructor re-checks exactness of the image, so a non-split
-    input that breaks exactness fails loudly.
+    input that breaks exactness fails loudly.  prefix, the F-image of S
+    through a lower horizon, is continued: F is applied to the new
+    degrees only, and only they and the seam are checked.
     """
-    return SesOfComplexes(
-        apply_F_chain_map(F, S.sub_to_mid), apply_F_chain_map(F, S.mid_to_quot)
-    )
+    if prefix is None:
+        return SesOfComplexes(*(apply_F_chain_map(F, f) for f in S))
+    k = prefix.horizon + 1
+
+    def side(FC, C):
+        dims = FC.dims + tuple(apply_F_object(F, M).dim for M in C.objects[k:])
+        return grow(FC, dims, FC.differentials + tuple(apply_F_map(F, d) for d in C.maps[k - 1 :]))
+
+    # The two chain maps run sub -> mid and mid -> quot.
+    ends = [side(prefix.sub, S.sub), side(prefix.mid, S.mid), side(prefix.quot, S.quot)]
+    return grow(prefix, *(
+        grow(Ff, src, dst, Ff.components + tuple(apply_F_map(F, g) for g in f.maps[k:]))
+        for Ff, f, src, dst in zip(prefix, S, ends, ends[1:])
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -111,10 +111,12 @@ def comparison_iso(
 ) -> RationalMatrix:
     """H^n(F J) -> R^n F(M) induced by a lift of the identity.
 
-    J must resolve M by F-acyclic objects (checked once per distinct
-    object, VerificationFailure otherwise).  Different lifts are
-    homotopic, so the matrix does not depend on rng; invertibility is
-    asserted rather than assumed.
+    J must resolve M by F-acyclic objects (VerificationFailure
+    otherwise).  Every call checks each distinct object once; a degree
+    checked before is a hit of the cohomology memo, which is keyed on
+    the two differentials it reads.  Different lifts are homotopic, so
+    the matrix does not depend on rng; invertibility is asserted rather
+    than assumed.
     """
     if J.base != M:
         raise ValueError("resolution does not resolve the given module")
@@ -164,11 +166,11 @@ def derived_connecting(
     resulting matrix provably does not.  That independence is itself a
     verification target, so it is not silently assumed here: a call
     with rng always fills a fresh horseshoe from degree zero and chases
-    it, and neither reads nor writes the registry's horseshoes and
-    connecting maps or the memo of extensions.  Callers who want the
-    canonical value pass rng=None; it is chased once, with every check,
-    per (F, E's two maps, p) on the registry's canonical horseshoe of
-    E, and then kept on the registry.
+    it, and neither reads nor writes the registry's horseshoes, their
+    F-images and connecting maps or the memo of extensions.  Callers who
+    want the canonical value pass rng=None; it is chased once, with
+    every check, per (F, E's two maps, p) on F of the registry's
+    canonical horseshoe of E, and then kept on the registry.
     """
     if p < 0:
         raise ValueError("connecting degree must be nonnegative")
@@ -177,7 +179,7 @@ def derived_connecting(
         RB = registry.resolution(E.quot, p + 2)
         return chase_connecting(F, E, RA, RB, p, rng)
     return registry.connecting(
-        (F, E, p), lambda: snake_delta_matrix(apply_F_ses(F, registry.horseshoe(E, p + 2).ses), p)
+        (F, E, p), lambda: snake_delta_matrix(registry.F_image(F, E, p + 2), p)
     )
 
 

@@ -29,6 +29,7 @@ from .complexes import (
     ModuleComplex,
     SesOfComplexes,
     apply_F_complex,
+    apply_F_ses,
     cohomology,
     grow,
 )
@@ -141,22 +142,23 @@ def _keep(store: dict, key, value) -> None:
 class ResolutionRegistry:
     """Shared cache of results that depend only on content: the
     deterministic resolution of each module, the canonical (rng-free)
-    horseshoe of each short exact sequence over those resolutions, and
-    the canonical connecting maps that derived.derived_connecting
-    chases on those horseshoes.
+    horseshoe of each short exact sequence over those resolutions, its
+    F-images, and the canonical connecting maps that
+    derived.derived_connecting chases on those F-images.
 
     The constructions never depend on the requested horizon, so a
     longer request continues the kept build from its last differential
     or theta instead of starting over, and checks only the new degrees;
-    a shorter one is served by the longer build, and every presentation
-    stays aligned across calls.  Each store keeps its MEMO_SIZE most
-    recently used entries; since every entry is deterministic, one
-    rebuilt after eviction equals the one evicted.
+    a shorter one is served by a longer kept build, and every
+    presentation stays aligned across calls.  Each store keeps its
+    MEMO_SIZE most recently used entries; since every entry is
+    deterministic, one rebuilt after eviction equals the one evicted.
     """
 
     def __init__(self):
         self._store: dict = {}
         self._horseshoes: dict = {}
+        self._images: dict = {}
         self._connecting: dict = {}
 
     def resolution(self, M: LambdaModule, horizon: int) -> Resolution:
@@ -170,13 +172,26 @@ class ResolutionRegistry:
 
     def horseshoe(self, E: SesModules, horizon: int) -> "TwistedSum":
         """The canonical horseshoe of E over the registry resolutions,
-        through at least the horizon: the kept one, grown if shorter."""
+        through at least the horizon: the kept one, grown if shorter.  A
+        first request keeps only the key, since most are never grown."""
+        seen = E in self._horseshoes
         kept = self._horseshoes.pop(E, None)
         if kept is None or kept.resolution.horizon < horizon:
             RA = self.resolution(E.sub, horizon)
             RB = self.resolution(E.quot, horizon)
             kept = horseshoe(E, RA, RB, prefix=kept)
-        _keep(self._horseshoes, E, kept)
+        _keep(self._horseshoes, E, kept if seen else None)
+        return kept
+
+    def F_image(self, F: FunctorSpec, E: SesModules, horizon: int) -> SesOfComplexes:
+        """F of registry.horseshoe(E, horizon): the kept image, continued
+        over the new degrees, and kept while the horseshoe is."""
+        hs = self.horseshoe(E, horizon)
+        kept = self._images.pop((F, E), None)
+        if kept is None or kept.horizon < hs.resolution.horizon:
+            kept = apply_F_ses(F, hs.ses, kept)
+        if self._horseshoes[E] is not None:
+            _keep(self._images, (F, E), kept)
         return kept
 
     def connecting(self, key, chase) -> RationalMatrix:

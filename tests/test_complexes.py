@@ -174,6 +174,37 @@ def test_presentations_align_under_truncation():
         assert full.degree == cut.degree == n
 
 
+# The memo is keyed on the degree, its dimension and the two
+# differentials that meet there, so a truncation presents each degree
+# below its horizon as the whole complex does: equal when computed
+# apart (cold), and one memo entry when computed together (warm).
+def test_truncations_present_their_shared_degrees_as_the_complex_does():
+    rng = random.Random(43)
+    cfg = GeneratorConfig(seed=0, m=3, max_dim=6)
+    F = gen_random_functor(cfg, rng)
+    Mod = gen_random_module(cfg, rng)
+    FC = apply_F_complex(F, ResolutionRegistry().resolution(Mod, 5).complex)
+    for t in range(FC.horizon + 1):
+        cut = FC.truncate(t)
+        for n in range(t):
+            complexes._cohomology.cache_clear()
+            cold = cohomology(cut, n)
+            complexes._cohomology.cache_clear()
+            assert cohomology(FC, n) == cold
+            assert cohomology(cut, n) is cohomology(FC, n)
+
+
+def test_boundaries_that_are_not_cocycles_are_rejected():
+    # An unchecked complex with d o d != 0: the same key raises again,
+    # since a raise is never memoized.
+    one = RationalMatrix.identity(1)
+    C = VectorComplex._make(((1, 1, 1), (one, one)))
+    for _ in range(2):
+        with pytest.raises(VerificationFailure, match="boundaries are not cocycles"):
+            cohomology(C, 1)
+    assert cohomology(C, 2).dim == 0
+
+
 def test_representatives_are_cocycles_and_project_to_the_identity():
     rng = random.Random(42)
     cfg = GeneratorConfig(seed=0, m=3, max_dim=6)

@@ -284,8 +284,8 @@ def count_chases(monkeypatch) -> list:
     return chases
 
 
-def test_the_registry_keeps_resolutions_horseshoes_and_connecting_maps():
-    assert set(vars(ResolutionRegistry())) == {"_store", "_horseshoes", "_connecting"}
+def test_the_registry_keeps_resolutions_horseshoes_F_images_and_connecting_maps():
+    assert set(vars(ResolutionRegistry())) == {"_store", "_horseshoes", "_images", "_connecting"}
 
 
 def test_only_canonical_connecting_maps_are_kept(monkeypatch, alg2, k2, registry):
@@ -298,15 +298,20 @@ def test_only_canonical_connecting_maps_are_kept(monkeypatch, alg2, k2, registry
     canonical = derived_connecting(F, E, 1, registry)
     assert derived_connecting(F, E, 1, registry) == canonical == chased
     assert len(registry._connecting) == 1 and calls == [0, 0]
-    assert registry._horseshoes[E].resolution.horizon == 3
+    # A first request keeps only the sequence's key.
+    assert registry._horseshoes == {E: None} and registry._images == {}
     assert derived_connecting(F, E, 1, registry, random.Random(1)) == canonical
     derived_connecting(F, E, 2, registry, random.Random(2))
     assert calls == [0, 0, 0, 0] and len(registry._connecting) == 1
-    # The canonical map one degree up grows the kept horseshoe by one.
+    # The second fills afresh and keeps the horseshoe and its F-image,
+    # and the canonical map one degree up grows both by one.
     derived_connecting(F, E, 2, registry)
-    assert calls == [0, 0, 0, 0, 3] and len(registry._connecting) == 2
-    assert list(registry._horseshoes) == [E]
-    assert registry._horseshoes[E].resolution.horizon == 4
+    assert calls == [0, 0, 0, 0, 0] and len(registry._connecting) == 2
+    assert registry._horseshoes[E].resolution.horizon == registry._images[F, E].horizon == 4
+    derived_connecting(F, E, 3, registry)
+    assert calls == [0, 0, 0, 0, 0, 4] and len(registry._connecting) == 3
+    assert list(registry._horseshoes) == [E] and list(registry._images) == [(F, E)]
+    assert registry._horseshoes[E].resolution.horizon == registry._images[F, E].horizon == 5
 
 
 def test_fresh_fillings_leave_the_extension_memo_and_the_registry_alone(registry):
@@ -338,27 +343,29 @@ def test_the_lemma_suite_still_chases_every_random_filling(monkeypatch):
 def test_the_deep_demo_chases_each_canonical_connecting_map_once(monkeypatch):
     # The shift to degree n takes n connecting maps, 45 through n = 9;
     # the cycles of the resolution of k alternate, so 17 of them differ,
-    # over two sequences.  Each is chased once: the first two on
-    # horseshoes filled to horizon 2, the other 15 on the kept horseshoe
-    # of their sequence, grown by one degree.
+    # over two sequences.  Each is chased once: the first four on
+    # horseshoes filled to horizons 2 and 3 (a first request keeps only
+    # the key), the other 13 on the kept horseshoe of their sequence,
+    # grown by one degree.
     horseshoes = count_horseshoes(monkeypatch)
     chases = count_chases(monkeypatch)
     run_demo(3, 9)
     assert len(chases) == 17
-    assert horseshoes == [0, 0] + [h for h in range(2, 9) for _ in range(2)] + [9]
+    assert horseshoes == [0] * 4 + [h for h in range(3, 9) for _ in range(2)] + [9]
 
 
 def test_the_deep_demo_solves_six_extension_problems(monkeypatch):
     # The resolution of k has period two, so every horseshoe theta and
     # every comparison lift component is one of six rng-free extension
-    # problems.  A grown horseshoe solves only its new theta, so the 19
-    # thetas and 2 augmentations make 21 of the 84 calls; the other 63
-    # are the comparison lifts', and 78 calls are memo hits.
+    # problems.  A grown horseshoe solves only its new theta, so the 23
+    # thetas and 4 augmentations make 27 of the 90 calls (a second
+    # request fills its horseshoe again); the other 63 are the comparison
+    # lifts', and 84 calls are memo hits.
     modules._canonical_extension.cache_clear()
     chases = count_chases(monkeypatch)
     run_demo(3, 9)
     info = modules._canonical_extension.cache_info()
-    assert (info.misses, info.hits) == (6, 78)
+    assert (info.misses, info.hits) == (6, 84)
     assert len(chases) == 17
 
 

@@ -44,7 +44,7 @@ def test_the_cold_run_finds_the_memos():
     names = sorted(memo.__qualname__ for memo in MEMOS)
     assert names == sorted(set(names))
     assert {
-        "canonical_form", "direct_sum", "cohomology", "apply_F_map", "image_factorization",
+        "canonical_form", "direct_sum", "_cohomology", "apply_F_map", "image_factorization",
         "_canonical_extension",
     } <= set(names)
 

@@ -25,8 +25,10 @@ from dimshift.modules import (
     simple_module,
 )
 from dimshift.complexes import (
+    ChainMap,
     ModuleComplex,
     NotHomotopic,
+    SesOfComplexes,
     apply_F_ses,
     find_homotopy,
     homotopy_defect,
@@ -230,6 +232,7 @@ def test_a_grown_canonical_horseshoe_checks_each_degree_once(monkeypatch, alg2, 
     E = SesModules(iota, cokernel_module(iota).projection)
     registry = ResolutionRegistry()
     RA, RB = registry.resolution(E.sub, 7), registry.resolution(E.quot, 7)
+    registry.horseshoe(E, 2)  # a first request keeps only the key
     checks = count_checks(monkeypatch)
     for h in (2, 4, 7):
         registry.horseshoe(E, h)
@@ -446,7 +449,8 @@ def test_a_defect_in_a_new_degree_of_a_horseshoe_is_caught_as_on_a_fresh_build(
     E = SesModules(iota, cokernel_module(iota).projection)
     registry = ResolutionRegistry()
     RA, RB = registry.resolution(E.sub, 5), registry.resolution(E.quot, 5)
-    registry.horseshoe(E, 3)
+    for _ in range(2):  # kept from the second request on
+        registry.horseshoe(E, 3)
     negate_theta_at(monkeypatch, degree)
     message = f"d o d is nonzero in degree {degree - 1}"
     with pytest.raises(VerificationFailure, match=message):
@@ -481,9 +485,10 @@ def through(hs, h):
     )
 
 
-# Kept at h0 and asked for H, the registry grows its horseshoe when
-# H > h0 and otherwise serves the kept one: through any h it reaches,
-# that equals a fresh horseshoe filled to h.
+# Kept at h0 (asked twice, since a first request keeps only the key)
+# and asked for H, the registry grows its horseshoe when H > h0 and
+# otherwise serves the kept one: through any h it reaches, that equals
+# a fresh horseshoe filled to h.
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     st.integers(0, 2**32 - 1),
@@ -495,13 +500,122 @@ def through(hs, h):
 def test_a_grown_registry_horseshoe_truncates_to_the_fresh_one(seed, m, h0, H, h):
     E = gen_random_ses(GeneratorConfig(m=m, max_dim=6), random.Random(seed))
     registry = ResolutionRegistry()
-    registry.horseshoe(E, h0)
-    grown = registry.horseshoe(E, H)
+    for h1 in (h0, h0, H):
+        grown = registry.horseshoe(E, h1)
     assert grown.resolution.horizon == max(h0, H)
     h = min(h, grown.resolution.horizon)
     fresh = ResolutionRegistry()
     built = horseshoe(E, fresh.resolution(E.sub, h), fresh.resolution(E.quot, h))
     assert through(grown, h) == through(built, h)
+
+
+# -- F-images of kept horseshoes ---------------------------------------------
+
+# Asked at h0 twice and then at H, the registry continues the F-image
+# of its kept horseshoe; it equals F of a fresh horseshoe of the same
+# horizon.
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.integers(0, 4), st.integers(0, 4))
+def test_a_grown_F_image_equals_the_image_of_the_fresh_horseshoe(seed, m, h0, H):
+    rng = random.Random(seed)
+    cfg = GeneratorConfig(m=m, max_dim=6)
+    F = gen_random_functor(cfg, rng)
+    E = gen_random_ses(cfg, rng)
+    registry = ResolutionRegistry()
+    for h in (h0, h0, H):
+        grown = registry.F_image(F, E, h)
+    assert grown.horizon == max(h0, H)
+    fresh = ResolutionRegistry()
+    RA, RB = fresh.resolution(E.sub, grown.horizon), fresh.resolution(E.quot, grown.horizon)
+    assert grown == apply_F_ses(F, horseshoe(E, RA, RB).ses)
+
+
+def standard_sequence(k):
+    iota = embed_into_injective(k)
+    return SesModules(iota, cokernel_module(iota).projection)
+
+
+# Grown 2 -> 4 -> 7 with its horseshoe, an F-image runs each of its
+# checks once per degree: d o d of its three complexes landing in
+# 2..7, two squares of two products each landing in 1..7, a composite
+# and two ranks in 0..7.  The checks that land in a first new degree
+# read the seam; beyond them only the horseshoe's seam ranks are added.
+# At m = 3 the outer terms differ, so no F-complex is a memo hit.
+def test_a_grown_F_image_checks_each_degree_once(monkeypatch):
+    algebra = TruncatedAlgebra(3)
+    F = FunctorSpec(algebra, simple_module(algebra))
+    E = standard_sequence(simple_module(algebra))
+    registry = ResolutionRegistry()
+    RA, RB = registry.resolution(E.sub, 7), registry.resolution(E.quot, 7)
+    registry.F_image(F, E, 2)  # a first request keeps only the key
+    complexes.apply_F_complex.cache_clear()
+    checks = count_checks(monkeypatch)
+    for h in (2, 4, 7):
+        registry.F_image(F, E, h)
+    grown = Counter(checks)
+    checks.clear()
+    hs = horseshoe(E, RA, RB)
+    fresh = Counter(checks)
+    checks.clear()
+    complexes.apply_F_complex.cache_clear()
+    apply_F_ses(F, hs.ses)
+    assert checks == Counter(
+        {("VectorComplex", p): 3 for p in range(6)}
+        | {("ChainMap", p): 4 for p in range(7)}
+        | {("SesOfComplexes", p): 3 for p in range(8)}
+    )
+    assert grown == fresh + checks + Counter({SEAM: 2})
+
+
+def with_component(f: ChainMap, p: int, component) -> ChainMap:
+    components = f.components[:p] + (component,) + f.components[p + 1 :]
+    return ChainMap._make((f.src, f.dst, components, f.maps))
+
+
+def plant_in_grown_sequences(monkeypatch, degree, defect):
+    """complexes.grow hands a sequence of complexes its components in
+    degree `degree` changed by defect(i, q) -> (i, q), unchecked."""
+    grow = complexes.grow
+
+    def planted(record, *fields):
+        if isinstance(record, SesOfComplexes):
+            include, project = fields
+            i, q = defect(include.components[degree], project.components[degree])
+            fields = (with_component(include, degree, i), with_component(project, degree, q))
+        return grow(record, *fields)
+
+    monkeypatch.setattr(complexes, "grow", planted)
+
+
+def leaking(i, q):
+    """q plus e i^T, with e one in its corner: the composite gains
+    e i^T i, which is nonzero because i^T i is invertible."""
+    e = RationalMatrix([[int(r == c == 0) for c in range(i.ncols)] for r in range(q.nrows)])
+    return i, q + e @ i.transpose()
+
+
+SEQUENCE_DEFECTS = {
+    "composite is nonzero": leaking,
+    "sub map is not injective": lambda i, q: (RationalMatrix.zeros(i.nrows, i.ncols), q),
+    "quot map is not surjective": lambda i, q: (i, RationalMatrix.zeros(q.nrows, q.ncols)),
+    "dimensions do not add up": lambda i, q: (i.take(range(i.nrows), range(i.ncols - 1)), q),
+}
+
+
+# The F-image is kept at horizon 3, so degree 4 is the first new one.
+@pytest.mark.parametrize("degree", [4, 5])
+@pytest.mark.parametrize("message", sorted(SEQUENCE_DEFECTS))
+def test_a_defect_in_a_new_degree_of_a_grown_F_image_is_caught(
+    monkeypatch, alg2, k2, message, degree
+):
+    F = FunctorSpec(alg2, k2)
+    E = standard_sequence(k2)
+    registry = ResolutionRegistry()
+    for _ in range(2):
+        registry.F_image(F, E, 3)
+    plant_in_grown_sequences(monkeypatch, degree, SEQUENCE_DEFECTS[message])
+    with pytest.raises(VerificationFailure, match=f"{message} in degree {degree}"):
+        registry.F_image(F, E, 5)
 
 
 # -- comparison lifts --------------------------------------------------------

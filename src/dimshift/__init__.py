@@ -10,7 +10,6 @@ literal matrix identities that the two differ by the triangular sign
 """
 
 from .linalg import (
-    NoSolution,
     Rat,
     RationalMatrix,
     Subspace,
@@ -52,7 +51,6 @@ from .complexes import (
     ChainMap,
     CohomologyPresentation,
     ModuleComplex,
-    NotHomotopic,
     SesOfComplexes,
     VectorComplex,
     apply_F_chain_map,

@@ -23,9 +23,7 @@ from collections import namedtuple
 from typing import Optional, Sequence
 
 from .linalg import (
-    NoSolution,
     RationalMatrix,
-    Sentinel,
     Subspace,
     VerificationFailure,
     induced_map,
@@ -44,9 +42,6 @@ from .modules import (
     extend_along_mono,
     is_injective,
 )
-
-
-NotHomotopic = Sentinel("NotHomotopic")
 
 
 class VectorComplex(namedtuple("VectorComplex", "dims differentials")):
@@ -261,7 +256,7 @@ class CohomologyPresentation(namedtuple(
     def project_columns(self, M: RationalMatrix) -> RationalMatrix:
         """Classes of the given cocycle columns, as quotient coordinates."""
         coords = self.cocycles.express_columns(M)
-        if coords is NoSolution:
+        if coords is None:
             raise VerificationFailure("vector is not a cocycle")
         return self.presentation.reduce_columns(coords)
 
@@ -297,7 +292,7 @@ def _cohomology(n: int, ambient: int, incoming, outgoing) -> CohomologyPresentat
     dimension ambient; None stands for a zero differential."""
     Z = Subspace.full(ambient) if outgoing is None else Subspace.from_columns(kernel_basis(outgoing))
     coords = RationalMatrix.zeros(Z.dim, 0) if incoming is None else Z.express_columns(incoming)
-    if coords is NoSolution:
+    if coords is None:
         raise VerificationFailure("boundaries are not cocycles")
     return CohomologyPresentation(n, ambient, Z, quotient(Z.dim, Subspace.from_columns(coords)))
 
@@ -315,7 +310,7 @@ def induced_on_cohomology(f: ChainMap, n: int) -> RationalMatrix:
     dst = cohomology(f.dst, n)
     mapped = f.components[n] @ src.cocycles.basis
     coords = dst.cocycles.express_columns(mapped)
-    if coords is NoSolution:
+    if coords is None:
         raise VerificationFailure("chain map does not preserve cocycles")
     return induced_map(src.presentation, dst.presentation, coords)
 
@@ -386,11 +381,11 @@ def snake_delta_matrix(
         raise ValueError("degree out of range for the connecting map")
     cocycles = cohomology(E.quot, i).representatives()
     lifts = solve_matrix(E.mid_to_quot.components[i], cocycles, rng)
-    if lifts is NoSolution:
+    if lifts is None:
         raise VerificationFailure("cannot lift through the epimorphism")
     moved = E.mid.differentials[i] @ lifts
     pulled = solve_matrix(E.sub_to_mid.components[i + 1], moved)
-    if pulled is NoSolution:
+    if pulled is None:
         raise VerificationFailure("cannot pull back through the monomorphism")
     return cohomology(E.sub, i + 1).project_columns(pulled)
 
@@ -404,10 +399,10 @@ def find_homotopy(f: ChainMap, g: ChainMap, rng: Optional[random.Random] = None)
     Returns components h(p): src^p -> dst^(p-1) for p = 0..horizon
     (h(0) maps to the zero space), satisfying the homotopy equation in
     every degree below the horizon; the top-degree equation would need
-    a component beyond the horizon.  Returns NotHomotopic when some
-    step is unsolvable.  Module-level pairs are lifted against
-    injective targets, so components intertwine; vector-level pairs
-    use plain solving.
+    a component beyond the horizon.  Returns None when some step is
+    unsolvable.  Module-level pairs are lifted against injective
+    targets, so components intertwine; vector-level pairs use plain
+    solving.
     """
     if f.src != g.src or f.dst != g.dst:
         raise ValueError("chain maps with different endpoints")
@@ -424,12 +419,12 @@ def find_homotopy(f: ChainMap, g: ChainMap, rng: Optional[random.Random] = None)
                 )
             d = src.maps[p]
             if not (r @ kernel_basis(d.matrix)).is_zero():
-                return NotHomotopic
+                return None
             h.append(extend_along_mono(d, ModuleMap(d.src, dst.objects[p], r), rng).matrix)
             continue
         sol = solve_matrix(src.differentials[p].transpose(), r.transpose(), rng)
-        if sol is NoSolution:
-            return NotHomotopic
+        if sol is None:
+            return None
         h.append(sol.transpose())
     return h
 

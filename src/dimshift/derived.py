@@ -22,7 +22,6 @@ from collections import namedtuple
 from typing import Optional
 
 from .linalg import (
-    NoSolution,
     RationalMatrix,
     Subspace,
     VerificationFailure,
@@ -211,7 +210,7 @@ def derived_connecting_deg0(
     H0 = cohomology(apply_F_complex(F, RB.complex), 0)
     F_aug = apply_F_map(F, RB.augmentation)
     iota_coords = H0.cocycles.express_columns(F_aug)
-    if iota_coords is NoSolution:
+    if iota_coords is None:
         raise VerificationFailure("augmentation image is not made of cocycles")
     if iota_coords.nrows != iota_coords.ncols or rank(iota_coords) != iota_coords.nrows:
         raise VerificationFailure("F(quot) does not exhaust the degree-zero cocycles")
@@ -263,7 +262,7 @@ def dimension_shift_iso(
     Hn = cohomology(FJ, n)
     F_u = apply_F_map(F, splitting.inclusions[n])
     in_cycles = solve_matrix(F_u, Hn.representatives())
-    if in_cycles is NoSolution:
+    if in_cycles is None:
         raise VerificationFailure("cocycles do not factor through the cycle inclusion")
     bar = derived_connecting_deg0(F, splitting.sequences[n - 1], registry, rng)
     F_v = apply_F_map(F, splitting.corestrictions[n - 1])

@@ -12,12 +12,12 @@ only when the reduced form is read out.  There is no tolerance
 parameter anywhere.
 
 At the boundary entries are Rat values, which is fractions.Fraction,
-the package's one scalar type.  The public constructors take them in,
-and rows, row, column and entry give them back.
+the package's one scalar type.  The public constructor takes them in,
+and rows and entry give them back.
 
-The trust boundary is this module.  The public constructors
-(RationalMatrix(...), from_columns, column_vector) coerce every entry
-to Rat and reject ragged rows.  Every matrix this module derives from
+The trust boundary is this module.  The public constructor
+RationalMatrix(rows, ncols) coerces every entry to Rat and rejects
+ragged rows.  Every matrix this module derives from
 existing matrices is built by the private RationalMatrix._of, which
 takes integer rows and a denominator, coerces nothing and checks
 nothing; it only brings the pair to lowest terms.
@@ -36,24 +36,6 @@ from collections import namedtuple
 from fractions import Fraction as Rat
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
-
-
-class Sentinel:
-    """A named marker value, falsy like None; compare it by identity."""
-
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-    def __bool__(self):
-        return False
-
-
-NoSolution = Sentinel("NoSolution")
 
 
 class VerificationFailure(Exception):
@@ -140,18 +122,6 @@ class RationalMatrix:
         return cls._of([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)], n)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], nrows: int) -> "RationalMatrix":
-        if any(len(col) != nrows for col in columns):
-            raise ValueError("column length does not match nrows")
-        return cls(
-            [[col[i] for col in columns] for i in range(nrows)], len(columns)
-        )
-
-    @classmethod
-    def column_vector(cls, vec: Sequence) -> "RationalMatrix":
-        return cls([[x] for x in vec], 1)
-
-    @classmethod
     def hstack(cls, mats: Sequence["RationalMatrix"]) -> "RationalMatrix":
         if not mats:
             raise ValueError("hstack of nothing")
@@ -209,14 +179,6 @@ class RationalMatrix:
 
     def entry(self, i: int, j: int) -> Rat:
         return Rat(self.num[i][j], self.den)
-
-    def row(self, i: int) -> tuple:
-        den = self.den
-        return tuple(Rat(x, den) for x in self.num[i])
-
-    def column(self, j: int) -> tuple:
-        den = self.den
-        return tuple(Rat(row[j], den) for row in self.num)
 
     def transpose(self) -> "RationalMatrix":
         if not self.num:
@@ -421,7 +383,7 @@ def kernel_basis(M: RationalMatrix) -> RationalMatrix:
 
 
 def solve_matrix(M: RationalMatrix, B: RationalMatrix, rng: Optional[random.Random] = None):
-    """A solution X of M @ X = B, or NoSolution.
+    """A solution X of M @ X = B, or None if there is none.
 
     Free coordinates are set to zero, so without rng the answer is
     deterministic.  With rng, X is shifted by kernel_basis(M) @ C, C's
@@ -437,7 +399,7 @@ def solve_matrix(M: RationalMatrix, B: RationalMatrix, rng: Optional[random.Rand
     ]
     pivots = _rref(aug, M.ncols + B.ncols)
     if pivots and pivots[-1] >= M.ncols:
-        return NoSolution
+        return None
     den = _over_pivots(aug, pivots)
     out = [(0,) * B.ncols] * M.ncols
     for i, p in enumerate(pivots):
@@ -455,7 +417,7 @@ def inverse(M: RationalMatrix) -> RationalMatrix:
     if M.nrows != M.ncols:
         raise ValueError("only square matrices invert")
     X = solve_matrix(M, RationalMatrix.identity(M.nrows))
-    if X is NoSolution:
+    if X is None:
         raise ValueError("matrix is singular")
     return X
 
@@ -486,11 +448,8 @@ class Subspace(namedtuple("Subspace", "ambient_dim basis pivot_rows")):
     def dim(self) -> int:
         return self.basis.ncols
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def express_columns(self, M: RationalMatrix):
-        """Coordinates of every column at once, or NoSolution if any
+        """Coordinates of every column at once, or None if any
         escapes.  Reading coordinates off the pivot rows avoids an
         elimination."""
         if M.nrows != self.ambient_dim:
@@ -498,10 +457,10 @@ class Subspace(namedtuple("Subspace", "ambient_dim basis pivot_rows")):
         coords = M.take(self.pivot_rows, range(M.ncols))
         if self.basis @ coords == M:
             return coords
-        return NoSolution
+        return None
 
     def contains_columns(self, M: RationalMatrix) -> bool:
-        return self.express_columns(M) is not NoSolution
+        return self.express_columns(M) is not None
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

@@ -22,7 +22,6 @@ from collections import namedtuple
 from typing import Optional, Sequence
 
 from .linalg import (
-    NoSolution,
     RationalMatrix,
     Subspace,
     VerificationFailure,
@@ -121,9 +120,6 @@ class ModuleMap(namedtuple("ModuleMap", "src dst matrix")):
             raise ValueError("matrix shape does not match the endpoints")
         if matrix @ src.X != dst.X @ matrix:
             raise VerificationFailure("matrix does not intertwine the operators")
-
-    def is_zero(self) -> bool:
-        return self.matrix.is_zero()
 
     def is_mono(self) -> bool:
         return rank(self.matrix) == self.src.dim
@@ -434,7 +430,7 @@ def kernel_module(f: ModuleMap) -> Kernel:
     """ker f with its inclusion; the kernel is X-stable so X restricts."""
     basis = kernel_basis(f.matrix)
     restricted = solve_matrix(basis, f.src.X @ basis)
-    if restricted is NoSolution:
+    if restricted is None:
         raise VerificationFailure("kernel is not stable under the operator")
     K = LambdaModule(f.src.algebra, restricted)
     return Kernel(K, ModuleMap(K, f.src, basis))
@@ -459,11 +455,11 @@ def image_factorization(f: ModuleMap) -> ImageFactorization:
     """Factor f through its image; the image is X-stable so X restricts."""
     S = Subspace.from_columns(f.matrix)
     restricted = S.express_columns(f.dst.X @ S.basis)
-    if restricted is NoSolution:
+    if restricted is None:
         raise VerificationFailure("image is not stable under the operator")
     Z = LambdaModule(f.src.algebra, restricted)
     coords = S.express_columns(f.matrix)
-    if coords is NoSolution:
+    if coords is None:
         raise VerificationFailure("map escapes its own image basis")
     return ImageFactorization(Z, ModuleMap(f.src, Z, coords), ModuleMap(Z, f.dst, S.basis))
 
@@ -539,7 +535,7 @@ def _extend(f: ModuleMap, g: ModuleMap, rng: Optional[random.Random]) -> ModuleM
         phi = cf.P_inv.take(tops, range(E.dim)) @ g.matrix
     # Extend each functional along f: psi @ f = phi.
     psiT = solve_matrix(f.matrix.transpose(), phi.transpose(), rng)
-    if psiT is NoSolution:
+    if psiT is None:
         raise VerificationFailure("functional extension system is inconsistent")
     psi = psiT.transpose()
     # Rebuild: row m-1-t of block j, in canonical coordinates, is psi_j X^t.

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dimshift.complexes import ChainMap, ModuleComplex
-from dimshift.linalg import NoSolution, RationalMatrix
+from dimshift.linalg import RationalMatrix
 from dimshift.modules import (
     LambdaModule,
     ModuleMap,
@@ -65,8 +65,9 @@ def registry():
 
 @pytest.fixture
 def fail_on_call(monkeypatch):
-    """install(owner, name, call): owner.name returns NoSolution on its
-    call-th call from then on, and passes every other call through."""
+    """install(owner, name, call): owner.name returns None, the missing
+    answer of a solve or a coordinate read, on its call-th call from then
+    on, and passes every other call through."""
 
     def install(owner, name, call):
         real = getattr(owner, name)
@@ -74,7 +75,7 @@ def fail_on_call(monkeypatch):
 
         def patched(*args):
             calls.append(None)
-            return NoSolution if len(calls) == call else real(*args)
+            return None if len(calls) == call else real(*args)
 
         monkeypatch.setattr(owner, name, patched)
 

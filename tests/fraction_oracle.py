@@ -11,8 +11,8 @@ from fractions import Fraction
 def frac_rows(M):
     """Copy a package matrix into plain Fraction rows."""
     return [
-        [Fraction(int(x.numerator), int(x.denominator)) for x in M.row(i)]
-        for i in range(M.nrows)
+        [Fraction(int(x.numerator), int(x.denominator)) for x in row]
+        for row in M.rows
     ]
 
 

@@ -379,11 +379,11 @@ def ses_endomorphism(E, rng):
     for t in range(basis.dim):
         probe = Q.reduction_map @ (basis.element(t) @ iota.matrix)
         cols.append([x for row in probe.rows for x in row])
-    constraint = RationalMatrix.from_columns(cols, Q.dim * E.sub.dim)
+    constraint = RationalMatrix(list(zip(*cols)), len(cols))
     K = kernel_basis(constraint)
     assert K.ncols >= 1  # the identity always preserves the sub term
-    coeffs = RationalMatrix.column_vector([Rat(rng.randint(-2, 2)) for _ in range(K.ncols)])
-    b = ModuleMap(E.mid, E.mid, basis.from_coordinates((K @ coeffs).column(0)))
+    coeffs = RationalMatrix([[rng.randint(-2, 2)] for _ in range(K.ncols)], 1)
+    b = ModuleMap(E.mid, E.mid, basis.from_coordinates([x for (x,) in (K @ coeffs).rows]))
     a_matrix = solve_matrix(iota.matrix, b.matrix @ iota.matrix)
     a = ModuleMap(E.sub, E.sub, a_matrix)
     section = solve_matrix(pi.matrix, RationalMatrix.identity(E.quot.dim))

@@ -92,7 +92,7 @@ def test_padded_resolution_is_the_registry_resolution_plus_identity_pads():
     assert [q for q, _ in pads] == [3, 2, 3]
 
     def block(A, rows, cols):
-        return RationalMatrix([A.row(i)[cols[0]:cols[1]] for i in range(*rows)], cols[1] - cols[0])
+        return A.take(range(*rows), range(*cols))
 
     dims = [J.dim for J in base.objects]
     offsets = []  # per pad: its block offset in degree q and in degree q + 1

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from dimshift import linalg
 from dimshift.linalg import (
-    NoSolution,
     Rat,
     RationalMatrix,
     Subspace,
@@ -40,7 +39,7 @@ def M(rows):
 
 
 def col(*entries):
-    return RationalMatrix.column_vector(entries)
+    return RationalMatrix([[x] for x in entries], 1)
 
 
 small_entry = st.integers(min_value=-4, max_value=4)
@@ -62,8 +61,7 @@ def matrices(max_rows=5, max_cols=5):
 
 def test_kernel_of_projection_is_second_axis():
     K = kernel_basis(M([[1, 0], [0, 0]]))
-    assert K.ncols == 1
-    assert K.column(0) == (Rat(0), Rat(1))
+    assert K == col(0, 1)
 
 
 def test_kernel_of_zero_matrix_is_everything():
@@ -77,18 +75,17 @@ def test_image_of_identity_is_everything():
 
 def test_image_of_projection_is_first_axis():
     B = Subspace.from_columns(M([[1, 0], [0, 0]])).basis
-    assert B.ncols == 1
-    assert B.column(0) == (Rat(1), Rat(0))
+    assert B == col(1, 0)
 
 
 def test_solve_in_image():
     x = solve_matrix(M([[1, 0], [0, 0]]), col(3, 0))
-    assert x is not NoSolution
+    assert x is not None
     assert M([[1, 0], [0, 0]]) @ x == col(3, 0)
 
 
 def test_solve_outside_image_reports_no_solution():
-    assert solve_matrix(M([[1, 0], [0, 0]]), col(0, 1)) is NoSolution
+    assert solve_matrix(M([[1, 0], [0, 0]]), col(0, 1)) is None
 
 
 def test_quotient_by_a_line_has_dimension_one():
@@ -145,7 +142,7 @@ def test_rank_nullity(A):
 def test_image_basis_spans_the_columns(A):
     B = Subspace.from_columns(A).basis
     assert rank(B) == B.ncols == rank(A)
-    assert solve_matrix(B, A) is not NoSolution
+    assert solve_matrix(B, A) is not None
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -153,7 +150,7 @@ def test_image_basis_spans_the_columns(A):
 def test_solve_postcondition(A, b):
     b = col(*b[: A.nrows])
     x = solve_matrix(A, b)
-    if x is not NoSolution:
+    if x is not None:
         assert A @ x == b
     else:
         assert not Subspace.from_columns(A).contains_columns(b)
@@ -183,7 +180,7 @@ def test_a_random_solution_draws_one_coefficient_per_kernel_vector_and_column(ca
     A, B, other, seed = case
     rng, twin = random.Random(seed), random.Random(seed)
     X = solve_matrix(A, B, rng)
-    assert X is not NoSolution and A @ X == B
+    assert X is not None and A @ X == B
     assert (A @ (X - solve_matrix(A, B))).is_zero()
     # The twin replays the draws: nullity x B.ncols, kernel-major.
     K = kernel_basis(A)
@@ -191,8 +188,8 @@ def test_a_random_solution_draws_one_coefficient_per_kernel_vector_and_column(ca
     assert rng.getstate() == twin.getstate()
     assert X == solve_matrix(A, B) + K @ RationalMatrix(C, B.ncols)
     # No draws when there is no solution.
-    if solve_matrix(A, other) is NoSolution:
-        assert solve_matrix(A, other, rng) is NoSolution
+    if solve_matrix(A, other) is None:
+        assert solve_matrix(A, other, rng) is None
         assert rng.getstate() == twin.getstate()
 
 
@@ -220,11 +217,11 @@ def test_subspace_basis_is_canonical_across_generating_sets():
     for _ in range(50):
         n = rng.randint(1, 5)
         cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 5))]
-        A = RationalMatrix.from_columns(cols, n)
+        A = M(list(zip(*cols)))
         shuffled = cols[:]
         rng.shuffle(shuffled)
         doubled = shuffled + [[2 * x for x in c] for c in shuffled]
-        B = RationalMatrix.from_columns(doubled, n)
+        B = M(list(zip(*doubled)))
         assert Subspace.from_columns(A) == Subspace.from_columns(B)
 
 
@@ -237,7 +234,7 @@ def test_express_round_trip():
         S = Subspace.from_columns(A)
         combo = A @ col(*[rng.randint(-2, 2) for _ in range(A.ncols)])
         coords = S.express_columns(combo)
-        assert coords is not NoSolution
+        assert coords is not None
         assert S.basis @ coords == combo
 
 
@@ -246,11 +243,11 @@ def test_express_columns_matches_express():
     S = Subspace.from_columns(A)
     probe = M([[1, 2], [2, 3], [2, 2]])
     coords = S.express_columns(probe)
-    assert coords is not NoSolution
+    assert coords is not None
     for j in range(probe.ncols):
-        assert coords.column(j) == S.express_columns(col(*probe.column(j))).column(0)
+        assert coords.take(range(2), [j]) == S.express_columns(probe.take(range(3), [j]))
     outside = M([[1], [0], [0]])
-    assert S.express_columns(outside) is NoSolution
+    assert S.express_columns(outside) is None
 
 
 def test_quotient_reduction_is_a_retraction():
@@ -440,10 +437,6 @@ def test_the_public_constructors_coerce_every_entry(rows):
     A = RationalMatrix(rows, ncols)
     assert A.rows == tuple(tuple(Fraction(x) for x in row) for row in rows)
     assert all(type(x) is Rat for row in A.rows for x in row)
-    columns = [[row[j] for row in rows] for j in range(ncols)]
-    assert RationalMatrix.from_columns(columns, len(rows)) == A
-    v = RationalMatrix.column_vector(columns[0])
-    assert all(type(x) is Rat for (x,) in v.rows)
 
 
 def test_the_public_constructor_rejects_bad_shapes():
@@ -453,10 +446,6 @@ def test_the_public_constructor_rejects_bad_shapes():
         RationalMatrix([[1, 2]], 3)
     with pytest.raises(ValueError):
         RationalMatrix([])
-    with pytest.raises(ValueError):
-        RationalMatrix.from_columns([[1, 2], [3]], 2)  # a column too short
-    with pytest.raises(ValueError):
-        RationalMatrix.from_columns([[1, 2], [3, 4, 5]], 2)  # one too long
 
 
 # -- elimination against an independent oracle -------------------------------
@@ -505,13 +494,13 @@ def test_elimination_agrees_with_the_fraction_oracle(case):
 
     AX = A @ X
     Y = solve_matrix(A, AX)
-    assert Y is not NoSolution and A @ Y == AX
+    assert Y is not None and A @ Y == AX
     augmented = [a + b for a, b in zip(frac_rows(A), frac_rows(B))]
     Y = solve_matrix(A, B)
     if gauss_rank(augmented) > len(pivots):
-        assert Y is NoSolution
+        assert Y is None
     else:
-        assert Y is not NoSolution and A @ Y == B
+        assert Y is not None and A @ Y == B
 
     G = A.transpose() @ A + RationalMatrix.identity(A.ncols)
     I = RationalMatrix.identity(A.ncols)

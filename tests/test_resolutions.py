@@ -27,7 +27,6 @@ from dimshift.modules import (
 from dimshift.complexes import (
     ChainMap,
     ModuleComplex,
-    NotHomotopic,
     SesOfComplexes,
     apply_F_ses,
     find_homotopy,
@@ -626,7 +625,7 @@ def test_self_lift_of_the_identity_is_homotopic_to_the_identity(k2, registry):
     assert f.components[0] @ R.augmentation.matrix == R.augmentation.matrix
     g = identity_chain_map(R.complex)
     h = find_homotopy(f, g)
-    assert h is not NotHomotopic
+    assert h is not None
     for p in range(R.horizon):
         assert homotopy_defect(f, g, h, p).is_zero()
 
@@ -643,7 +642,7 @@ def test_two_random_lifts_are_homotopic():
         g = lift_resolution_map(identity_map(Mod), J, I, rng)
         assert f.components[0] @ J.augmentation.matrix == I.augmentation.matrix
         h = find_homotopy(f, g)
-        assert h is not NotHomotopic
+        assert h is not None
         for p in range(f.horizon):
             assert homotopy_defect(f, g, h, p).is_zero()
 
@@ -657,8 +656,8 @@ def test_cylinder_structure_over_the_standard_resolution(k2, registry):
     assert L.base == R.objects[0]
     assert [J.dim for J in L.objects] == [4, 4, 4, 4]
     # Augmentation v |-> (v, d v), read off blockwise.
-    top = RationalMatrix([list(L.augmentation.matrix.row(i)) for i in range(2)], 2)
-    bottom = RationalMatrix([list(L.augmentation.matrix.row(i)) for i in range(2, 4)], 2)
+    top = L.augmentation.matrix.take(range(2), range(2))
+    bottom = L.augmentation.matrix.take(range(2, 4), range(2))
     assert top == RationalMatrix.identity(2)
     assert bottom == R.differential(0).matrix
     # First differential: top-right block is minus the identity.

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dimshift import complexes
-from dimshift.linalg import Rat, RationalMatrix, VerificationFailure, rank, solve_matrix
+from dimshift.linalg import Rat, RationalMatrix, Subspace, VerificationFailure, rank, solve_matrix
 from dimshift.modules import FunctorSpec, ModuleMap, apply_F_map, identity_map
 from dimshift.complexes import (
     ChainMap,
@@ -217,6 +217,15 @@ def test_representatives_are_cocycles_and_project_to_the_identity():
             reps = H.representatives()
             assert (FC.differentials[n] @ reps).is_zero()
             assert H.project_columns(reps) == RationalMatrix.identity(H.dim)
+
+
+def test_induced_map_checks_that_cocycles_land_in_cocycles(fail_on_call):
+    # In degree 0 cohomology reads no coordinates, so the first read is
+    # the image of the source cocycles in the target's.
+    C = VectorComplex((2, 2), (M([[1, 0], [0, 0]]),))
+    fail_on_call(Subspace, "express_columns", 1)
+    with pytest.raises(VerificationFailure, match="chain map does not preserve cocycles"):
+        induced_on_cohomology(identity_chain_map(C), 0)
 
 
 def test_induced_map_on_cohomology_is_functorial():

@@ -1,6 +1,7 @@
 """Derived functors, comparison and shift isomorphisms, sign checks."""
 
 import random
+import re
 from collections import namedtuple
 
 import pytest
@@ -464,6 +465,17 @@ def test_degree_zero_connecting_detects_non_acyclic_middles(alg2, k2, zero2, zer
         derived_connecting_deg0(F, E, registry)
 
 
+def test_degree_zero_connecting_checks_the_augmentation_image(fail_on_call, alg2, k2, registry):
+    F = FunctorSpec(alg2, k2)
+    E = standard_ses(k2)
+    # A first call fills the registry and the memos, so on the second
+    # the first coordinate read is that of F of the augmentation.
+    derived_connecting_deg0(F, E, registry)
+    fail_on_call(Subspace, "express_columns", 1)
+    with pytest.raises(VerificationFailure, match="augmentation image is not made of cocycles"):
+        derived_connecting_deg0(F, E, registry)
+
+
 # -- the dimension-shifting isomorphism --------------------------------------
 
 def test_worked_example_signs_through_degree_six(alg2, k2):
@@ -475,6 +487,77 @@ def test_worked_example_signs_through_degree_six(alg2, k2):
         d = dimension_shift_iso(F, k2, J, n, registry)
         assert c == RationalMatrix.identity(1)
         assert d == RationalMatrix([[Rat(sign_factor(n))]], 1)
+
+
+def test_shift_iso_checks_that_cocycles_factor_through_the_cycles(fail_on_call, alg2, k2, registry):
+    fail_on_call(derived, "solve_matrix", 1)
+    with pytest.raises(VerificationFailure, match="cocycles do not factor through the cycle inclusion"):
+        dimension_shift_iso(FunctorSpec(alg2, k2), k2, registry.resolution(k2, 2), 1, registry)
+
+
+# Defects planted in derived's namespace, each as (name, the stand-in
+# made from the real function, the entry point run, the message).  The
+# entry points run on M = k and F = Hom(k, -) at m = 2, where the
+# standard sequence 0 -> k -> Lambda -> k -> 0 has F(pi) = 0 and every
+# space met is one-dimensional.
+def no_columns(A):
+    return A.take(range(A.nrows), ())
+
+
+def other_denominator(bar):
+    Q = bar.presentation
+    other = Subspace.zero(Q.ambient_dim) if Q.denominator.dim else Subspace.full(Q.ambient_dim)
+    return bar._replace(presentation=quotient(Q.ambient_dim, other))
+
+
+def zero_matrix(bar):
+    return bar._replace(matrix=bar.matrix * 0)
+
+
+PLANTS = {
+    # F of every map loses its columns, F of the augmentation first.
+    "F(quot) does not exhaust the degree-zero cocycles": (
+        "apply_F_map", lambda real: lambda F, f: no_columns(real(F, f)), "deg0",
+    ),
+    # F of every map is read as F of the identity of its target, so
+    # F(pi) becomes invertible.
+    "connecting map does not kill the image of F(mid)": (
+        "apply_F_map", lambda real: lambda F, f: real(F, identity_map(f.dst)), "deg0",
+    ),
+    "barred connecting map is not injective": (
+        "derived_connecting", lambda real: lambda *args: real(*args) * 0, "deg0",
+    ),
+    "identification target drifted between presentations": (
+        "derived_connecting_deg0", lambda real: lambda *args: other_denominator(real(*args)), "shift",
+    ),
+    "shift composite is not invertible": (
+        "derived_connecting_deg0", lambda real: lambda *args: zero_matrix(real(*args)), "shift",
+    ),
+    "comparison map is not invertible": (
+        "induced_on_cohomology", lambda real: lambda f, n: real(f, n) * 0, "comparison",
+    ),
+    # F(k) read as F(k + k).
+    "degree-0 value disagrees with the functor": (
+        "apply_F_object", lambda real: lambda F, M: real(F, direct_sum(M, M).module), "value",
+    ),
+}
+
+
+@pytest.mark.parametrize("message", list(PLANTS))
+def test_a_planted_defect_fails_its_check(monkeypatch, alg2, k2, registry, message):
+    name, stand_in, entry = PLANTS[message]
+    F = FunctorSpec(alg2, k2)
+    R = registry.resolution(k2, 3)
+    run = {
+        "deg0": lambda: derived_connecting_deg0(F, standard_ses(k2), registry),
+        "shift": lambda: dimension_shift_iso(F, k2, R, 1, registry),
+        "comparison": lambda: comparison_iso(F, k2, R, 1, registry),
+        "value": lambda: derived_functor(F, k2, 2, registry),
+    }[entry]
+    run()  # passes, so the planted defect alone fails the second run
+    monkeypatch.setattr(derived, name, stand_in(getattr(derived, name)))
+    with pytest.raises(VerificationFailure, match=re.escape(message)):
+        run()
 
 
 def test_shift_iso_is_independent_of_chase_choices():

@@ -511,6 +511,12 @@ def test_extension_along_the_zero_map_is_inconsistent(alg2, k2, zero_map):
         extend_along_mono(zero_map(k2, k2), g)
 
 
+def test_kernel_module_checks_that_the_operator_restricts(fail_on_call, lam2):
+    fail_on_call(modules, "solve_matrix", 1)
+    with pytest.raises(VerificationFailure, match="kernel is not stable under the operator"):
+        kernel_module(x_multiplication(lam2))
+
+
 @pytest.mark.parametrize("call, message", [
     (1, "image is not stable under the operator"),
     (2, "map escapes its own image basis"),
